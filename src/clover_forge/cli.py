@@ -8,7 +8,7 @@ every subcommand honors --seed and prints a one-line summary. Exit status:
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -18,6 +18,7 @@ from . import backends, config as config_mod, corpus as corpus_mod, fewshot, gen
 from . import instructions as instr_mod
 from . import losses, metrics, prompts, templates
 from .errors import CloverError
+from .jsonio import read_records, write_json, write_jsonl
 
 DRY_RUN_CAPTION = "description"
 
@@ -33,19 +34,7 @@ def _created_at(cfg: config_mod.Config) -> str:
 def _read_fewshot(path: str | None) -> list[tuple[str, str]]:
     if not path:
         return []
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            try:
-                pairs.append((row["user"], row["assistant"]))
-            except (KeyError, TypeError):
-                raise CloverError(
-                    f"few-shot file line {lineno}: expected objects with user/assistant"
-                )
-    return pairs
+    return list(read_records(path, lambda row: (row["user"], row["assistant"])))
 
 
 def _build_backend(args, cfg: config_mod.Config):
@@ -164,10 +153,7 @@ def cmd_lint(args, cfg) -> int:
                 }
             )
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(
-            json.dumps(rows, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(args.out, rows, ensure_ascii=False, indent=2)
     print(f"linted {len(ds)} instructions: {len(rows)} dirty, {total} violations")
     return 0
 
@@ -214,11 +200,7 @@ def cmd_eval_vqa(args, cfg) -> int:
     result = metrics.evaluate(examples, polarity)
     print(metrics.format_report(result.report))
     if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report).write_text(
-            json.dumps(metrics.report_to_obj(result), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        write_json(args.report, metrics.report_to_obj(result), ensure_ascii=False, indent=2)
         print(f"report -> {args.report}")
     return 0
 
@@ -252,22 +234,7 @@ def cmd_to_vqa(args, cfg) -> int:
     patches = fewshot.ingest_patches(args.patches)
     examples = fewshot.to_vqa(patches)
     out = _out_path(args.out, cfg, "clinical_vqa.jsonl")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "example_id": ex.example_id,
-                        "question": ex.question,
-                        "reference": ex.reference,
-                        "prediction": ex.prediction,
-                        "qtype": ex.qtype,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(out, map(dataclasses.asdict, examples), ensure_ascii=False)
     print(f"rendered {len(examples)} patches as VQA records -> {out}")
     return 0
 
@@ -278,8 +245,7 @@ def cmd_kernel_check(args, cfg) -> int:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status} {check['name']}: max_error={check['max_error']:.3e} tol={check['tolerance']:.0e}")
     out = _out_path(args.out, cfg, "kernel_report.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_json(out, report, indent=2)
     print(f"kernel-check {'passed' if report['passed'] else 'FAILED'} -> {out}")
     return 0 if report["passed"] else 1
 

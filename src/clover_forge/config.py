@@ -14,7 +14,6 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .errors import ConfigError
-from .sampling import SAMPLER_ALGORITHM
 
 CONFIG_ENV = "CLOVER_CONFIG"
 
@@ -31,7 +30,6 @@ DEFAULTS = {
     },
     "corpus": {
         "min_words": "25",
-        "sampler": SAMPLER_ALGORITHM,
     },
     "backend": {
         "mode": "mock",
@@ -49,9 +47,6 @@ DEFAULTS = {
         "budget_usd": "8.00",
         "strict_parse": "false",
     },
-    "metrics": {
-        "log_base_fixed": "true",
-    },
 }
 
 
@@ -64,7 +59,6 @@ class Config:
     templates_path: str
     fixtures_path: str
     min_words: int
-    sampler: str
     backend_mode: str
     endpoint: str
     dialect: str
@@ -77,7 +71,6 @@ class Config:
     max_completion_tokens: int
     budget_usd: Decimal
     strict_parse: bool
-    log_base_fixed: bool
 
 
 def _as_bool(raw: str, key: str) -> bool:
@@ -123,7 +116,6 @@ def load_config(path: str | Path | None = None) -> Config:
         templates_path=get("paths", "templates"),
         fixtures_path=get("paths", "fixtures"),
         min_words=int(get("corpus", "min_words")),
-        sampler=get("corpus", "sampler"),
         backend_mode=get("backend", "mode"),
         endpoint=get("backend", "endpoint"),
         dialect=get("backend", "dialect"),
@@ -136,7 +128,6 @@ def load_config(path: str | Path | None = None) -> Config:
         max_completion_tokens=int(get("backend", "max_completion_tokens")),
         budget_usd=_as_decimal(get("generation", "budget_usd"), "budget_usd"),
         strict_parse=_as_bool(get("generation", "strict_parse"), "strict_parse"),
-        log_base_fixed=_as_bool(get("metrics", "log_base_fixed"), "log_base_fixed"),
     )
     validate_config(config)
     return config
@@ -153,9 +144,3 @@ def validate_config(config: Config) -> None:
         raise ConfigError(f"backend mode must be live or mock, got '{config.backend_mode}'")
     if config.backend_mode == "live" and not config.endpoint:
         raise ConfigError("live backend mode requires a non-empty endpoint")
-    if config.sampler != SAMPLER_ALGORITHM:
-        raise ConfigError(
-            f"unsupported sampler '{config.sampler}' (only {SAMPLER_ALGORITHM})"
-        )
-    if not config.log_base_fixed:
-        raise ConfigError("log_base_fixed=false is not supported; the ratio base is fixed")

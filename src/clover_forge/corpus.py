@@ -9,11 +9,11 @@ records whose merged caption is too short to be a useful description.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ManifestError
+from .jsonio import read_jsonl, read_records, write_jsonl
 from .sampling import sample_indices
 
 MANIFEST_FORMATS = ("jsonl", "csv")
@@ -49,24 +49,10 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def _row_from_jsonl(line: str, lineno: int) -> dict:
-    try:
-        row = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(row, dict):
-        raise ManifestError(f"line {lineno}: expected a JSON object")
-    return row
-
-
 def _iter_rows(path: Path, fmt: str):
     """Yield (lineno, row-dict) pairs for either manifest format."""
     if fmt == "jsonl":
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                yield lineno, _row_from_jsonl(line, lineno)
+        yield from read_jsonl(path)
     else:
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -166,50 +152,39 @@ def sample(corpus: Corpus, size: int, seed: int) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        for r in corpus.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "image_id": r.image_id,
-                        "image_ref": r.image_ref,
-                        "captions": list(r.captions),
-                        "merged_caption": r.merged_caption,
-                        "source": r.source,
-                    },
-                    ensure_ascii=False,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-    tmp.replace(path)
+    write_jsonl(
+        path,
+        (
+            {
+                "image_id": r.image_id,
+                "image_ref": r.image_ref,
+                "captions": list(r.captions),
+                "merged_caption": r.merged_caption,
+                "source": r.source,
+            }
+            for r in corpus.records
+        ),
+        ensure_ascii=False,
+        separators=(",", ":"),
+    )
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    path = Path(path)
-    records = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = _row_from_jsonl(line, lineno)
-            image_id = row.get("image_id", "")
-            if not image_id:
-                raise ManifestError(f"line {lineno}: missing image_id")
-            if image_id in seen:
-                raise ManifestError(f"line {lineno}: duplicate image_id {image_id}")
-            seen.add(image_id)
-            records.append(
-                ImageTextRecord(
-                    image_id=image_id,
-                    image_ref=row.get("image_ref", ""),
-                    captions=tuple(row.get("captions", ())),
-                    merged_caption=row.get("merged_caption", ""),
-                    source=row.get("source", ""),
-                )
-            )
-    return Corpus(records=tuple(records))
+
+    def record(row: dict) -> ImageTextRecord:
+        image_id = row.get("image_id", "")
+        if not image_id:
+            raise ValueError("missing image_id")
+        if image_id in seen:
+            raise ValueError(f"duplicate image_id {image_id}")
+        seen.add(image_id)
+        return ImageTextRecord(
+            image_id=image_id,
+            image_ref=row.get("image_ref", ""),
+            captions=tuple(row.get("captions", ())),
+            merged_caption=row.get("merged_caption", ""),
+            source=row.get("source", ""),
+        )
+
+    return Corpus(records=tuple(read_records(path, record)))

@@ -8,14 +8,14 @@ class when any of its patches carries a tumor label; benign slides have none.
 from __future__ import annotations
 
 import csv
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IntegrityError, ManifestError
+from .jsonio import read_line_list, write_json
 from .metrics import EvalExample
-from .sampling import derive_seed
+from .sampling import derive_seed, draw
 
 ORGANS = ("stomach", "intestine")
 LABELS = ("tumor", "non_tumor")
@@ -123,17 +123,7 @@ def wsi_classes(records: list[PatchRecord]) -> dict[str, str]:
 
 def read_wsi_list(path: str | Path) -> list[str]:
     """Test-WSI manifest: one id per line, '#' comments allowed."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-
-
-def _draw(rng: random.Random, pool: list[str], k: int) -> list[str]:
-    # partial Fisher-Yates over the pool, consuming the shared rng state
-    idx = list(range(len(pool)))
-    for i in range(k):
-        j = rng.randrange(i, len(idx))
-        idx[i], idx[j] = idx[j], idx[i]
-    return [pool[i] for i in idx[:k]]
+    return read_line_list(path)
 
 
 def make_kshot(
@@ -180,7 +170,7 @@ def make_kshot(
     for replicate in range(1, replicates + 1):
         combo: list[str] = []
         for _ in range(50):
-            combo = _draw(rng, eligible["tumor"], k) + _draw(rng, eligible["non_tumor"], k)
+            combo = draw(rng, eligible["tumor"], k) + draw(rng, eligible["non_tumor"], k)
             if frozenset(combo) not in seen_combos:
                 break
         seen_combos.add(frozenset(combo))
@@ -221,9 +211,7 @@ def write_split(split: FewShotSplit, path: str | Path) -> None:
         "train_patches": [_patch_obj(p) for p in split.train_patches],
         "test_patches": [_patch_obj(p) for p in split.test_patches],
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, ensure_ascii=False) + "\n", encoding="utf-8")
+    write_json(path, obj, ensure_ascii=False)
 
 
 def to_vqa(patches: list[PatchRecord]) -> list[EvalExample]:

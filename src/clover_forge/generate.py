@@ -27,6 +27,7 @@ from .backends import (
 from .corpus import Corpus, ImageTextRecord
 from .errors import BackendError, BudgetExceededError, CloverError, ParseError
 from .instructions import Instruction, Provenance, make_instruction
+from .jsonio import read_records
 from .prompts import PromptEnvelope, build_prompt, envelope_digest, lint_qa, parse_qa
 
 DEFAULT_MAX_COMPLETION_TOKENS = 512
@@ -83,30 +84,23 @@ def estimate_run_cost(
     return total
 
 
+def _receipt_from_row(row: dict) -> GenerationReceipt:
+    return GenerationReceipt(
+        image_id=row["image_id"],
+        prompt_tokens=row["prompt_tokens"],
+        completion_tokens=row["completion_tokens"],
+        estimated_cost_usd=Decimal(row["estimated_cost_usd"]),
+        backend_id=row["backend_id"],
+        retries=row["retries"],
+    )
+
+
 def load_checkpoint(path: str | Path) -> tuple[set[str], list[GenerationReceipt]]:
     """Processed image ids and their receipts from a previous partial run."""
-    path = Path(path)
-    done: set[str] = set()
-    receipts: list[GenerationReceipt] = []
-    if not path.exists():
-        return done, receipts
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            done.add(row["image_id"])
-            receipts.append(
-                GenerationReceipt(
-                    image_id=row["image_id"],
-                    prompt_tokens=row["prompt_tokens"],
-                    completion_tokens=row["completion_tokens"],
-                    estimated_cost_usd=Decimal(row["estimated_cost_usd"]),
-                    backend_id=row["backend_id"],
-                    retries=row["retries"],
-                )
-            )
-    return done, receipts
+    if not Path(path).exists():
+        return set(), []
+    receipts = list(read_records(path, _receipt_from_row))
+    return {r.image_id for r in receipts}, receipts
 
 
 def _receipt_row(receipt: GenerationReceipt) -> str:

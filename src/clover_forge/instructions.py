@@ -12,11 +12,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import IntegrityError, ManifestError
+from . import __version__
+from .errors import IntegrityError
+from .jsonio import read_records, write_json, write_jsonl
 from .sampling import sample_indices, shuffle_indices
 
 KINDS = ("generation", "template")
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def make_dataset(
         "digest": dataset_digest(ds),
         "sources": sources or [],
         "seed": seed,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
     }
     return InstructionDataset(items=ds.items, manifest=manifest)
 
@@ -123,18 +124,13 @@ def make_dataset(
 def assemble_hybrid(
     gen: InstructionDataset, tmpl: InstructionDataset
 ) -> InstructionDataset:
-    """Union with id-level dedup; an id carried by differing content is an error."""
-    merged: dict[str, Instruction] = {}
-    for it in list(gen.items) + list(tmpl.items):
-        prior = merged.get(it.instruction_id)
-        if prior is None:
-            merged[it.instruction_id] = it
-        elif prior != it:
-            raise IntegrityError(
-                f"instruction id collision with differing content: {it.instruction_id}"
-            )
+    """Union with id-level dedup; an id carried by differing content is an error.
+
+    Equal items collapse to their first occurrence; `make_dataset` rejects any
+    id that is left twice, since two items with one id now differ in content.
+    """
     sources = [dataset_digest(gen), dataset_digest(tmpl)]
-    return make_dataset(list(merged.values()), sources=sources)
+    return make_dataset(list(dict.fromkeys(gen.items + tmpl.items)), sources=sources)
 
 
 def split_subsets(
@@ -188,58 +184,41 @@ def _instruction_to_obj(it: Instruction) -> dict:
     }
 
 
-def _instruction_from_obj(obj: dict, lineno: int) -> Instruction:
-    try:
-        prov = obj.get("provenance") or {}
-        turns = tuple(Turn(t["question"], t["answer"]) for t in obj["turns"])
-        return Instruction(
-            instruction_id=obj["instruction_id"],
-            image_id=obj["image_id"],
-            kind=obj["kind"],
-            turns=turns,
-            provenance=Provenance(
-                method=prov.get("method", ""),
-                model=prov.get("model"),
-                prompt_hash=prov.get("prompt_hash"),
-                created_at=prov.get("created_at", ""),
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ManifestError(f"line {lineno}: malformed instruction record ({exc})") from exc
+def _instruction_from_obj(obj: dict) -> Instruction:
+    if obj.get("kind") not in KINDS:
+        raise ValueError(f"unknown instruction kind {obj.get('kind')!r}")
+    prov = obj.get("provenance") or {}
+    return Instruction(
+        instruction_id=obj["instruction_id"],
+        image_id=obj["image_id"],
+        kind=obj["kind"],
+        turns=tuple(Turn(t["question"], t["answer"]) for t in obj["turns"]),
+        provenance=Provenance(
+            method=prov.get("method", ""),
+            model=prov.get("model"),
+            prompt_hash=prov.get("prompt_hash"),
+            created_at=prov.get("created_at", ""),
+        ),
+    )
 
 
 def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
     """Write items as JSONL plus a manifest sidecar, atomically."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        for it in ds.items:
-            fh.write(
-                json.dumps(_instruction_to_obj(it), ensure_ascii=False, separators=(",", ":"))
-                + "\n"
-            )
-    tmp.replace(path)
-    sidecar = path.with_name(path.name + ".manifest.json")
-    tmp = sidecar.with_suffix(sidecar.suffix + ".tmp")
-    tmp.write_text(
-        json.dumps(ds.manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+    write_jsonl(
+        path,
+        (_instruction_to_obj(it) for it in ds.items),
+        ensure_ascii=False,
+        separators=(",", ":"),
     )
-    tmp.replace(sidecar)
+    write_json(
+        path.with_name(path.name + ".manifest.json"), ds.manifest, ensure_ascii=False, indent=2
+    )
 
 
 def read_dataset(path: str | Path) -> InstructionDataset:
     path = Path(path)
-    items = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            items.append(_instruction_from_obj(obj, lineno))
+    items = list(read_records(path, _instruction_from_obj))
     sidecar = path.with_name(path.name + ".manifest.json")
     ds = make_dataset(items)
     if sidecar.exists():

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GradCheckError
+from .jsonio import atomic_open, write_json
 
 PROB_FLOOR = 1e-12
 NORM_TOL = 1e-6
@@ -253,10 +254,10 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     path = Path(path)
     array = np.asarray(array, dtype=float)
     if path.suffix == ".npy":
-        np.save(path, array)
+        with atomic_open(path, "wb") as fh:
+            np.save(fh, array)
     elif path.suffix == ".json":
-        obj = {"shape": list(array.shape), "data": array.ravel().tolist()}
-        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        write_json(path, {"shape": list(array.shape), "data": array.ravel().tolist()})
     else:
         raise ValueError(f"unsupported tensor fixture suffix: {path.suffix}")
 

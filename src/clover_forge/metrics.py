@@ -7,14 +7,13 @@ a fixed normalization: lowercase, split on non-alphanumeric runs.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import ManifestError
+from .jsonio import read_records
 
 QTYPES = ("open", "closed")
 DEFAULT_POLARITY = ("yes", "no")
@@ -64,11 +63,7 @@ def normalize(text: str) -> list[str]:
 
 def open_recall(ref: str, pred: str) -> float:
     """Fraction of reference tokens (with multiplicity) present in the prediction."""
-    ref_tokens = normalize(ref)
-    if not ref_tokens:
-        raise ValueError("reference normalizes to zero tokens")
-    overlap = Counter(ref_tokens) & Counter(normalize(pred))
-    return sum(overlap.values()) / len(ref_tokens)
+    return prf(ref, pred)[0]
 
 
 def prf(ref: str, pred: str) -> tuple[float, float, float]:
@@ -95,26 +90,25 @@ def reference_polarity(ref: str, polarity: tuple[str, str] = DEFAULT_POLARITY) -
     return present[0]
 
 
+def _closed_correct(ex: EvalExample, polarity: tuple[str, str] = DEFAULT_POLARITY) -> bool:
+    """A closed prediction is correct iff it contains the reference polarity
+    token and not the opposite one; carrying both scores incorrect."""
+    want = reference_polarity(ex.reference, polarity)
+    other = polarity[1] if want == polarity[0] else polarity[0]
+    tokens = set(normalize(ex.prediction))
+    return want in tokens and other not in tokens
+
+
 def closed_accuracy(
     examples: list[EvalExample], polarity: tuple[str, str] = DEFAULT_POLARITY
 ) -> float:
-    """Percentage of closed examples answered with the right polarity.
-
-    A prediction is correct iff it contains the reference polarity token and
-    not the opposite one; carrying both scores incorrect.
-    """
+    """Percentage of closed examples answered with the right polarity."""
     if not examples:
         raise ValueError("closed_accuracy needs at least one example")
-    correct = 0
     for ex in examples:
         if ex.qtype != "closed":
             raise ValueError(f"example {ex.example_id}: closed_accuracy got qtype open")
-        want = reference_polarity(ex.reference, polarity)
-        other = polarity[1] if want == polarity[0] else polarity[0]
-        tokens = set(normalize(ex.prediction))
-        if want in tokens and other not in tokens:
-            correct += 1
-    return 100.0 * correct / len(examples)
+    return 100.0 * sum(_closed_correct(ex, polarity) for ex in examples) / len(examples)
 
 
 def length_stats(examples: list[EvalExample]) -> tuple[float, float]:
@@ -158,6 +152,7 @@ def evaluate(
         raise ValueError("evaluate needs at least one example")
     result = EvalResult(report=MetricsReport())
     open_scores: list[tuple[float, float, float]] = []
+    open_examples: list[EvalExample] = []
     closed_examples: list[EvalExample] = []
     for ex in examples:
         if ex.qtype == "closed":
@@ -171,14 +166,9 @@ def evaluate(
             )
             continue
         open_scores.append((r, p, f))
+        open_examples.append(ex)
         result.per_example.append(
-            {
-                "example_id": ex.example_id,
-                "qtype": "open",
-                "recall": r,
-                "precision": p,
-                "f1": f,
-            }
+            {"example_id": ex.example_id, "qtype": "open", "recall": r, "precision": p, "f1": f}
         )
 
     report = result.report
@@ -196,62 +186,37 @@ def evaluate(
             else 0.0
         )
     if closed_examples:
+        correct = [_closed_correct(ex, polarity) for ex in closed_examples]
         report.n_closed = len(closed_examples)
-        report.closed_accuracy_pct = closed_accuracy(closed_examples, polarity)
-        for ex in closed_examples:
-            want = reference_polarity(ex.reference, polarity)
-            other = polarity[1] if want == polarity[0] else polarity[0]
-            tokens = set(normalize(ex.prediction))
-            result.per_example.append(
-                {
-                    "example_id": ex.example_id,
-                    "qtype": "closed",
-                    "correct": want in tokens and other not in tokens,
-                }
-            )
-    scored = [ex for ex in examples if ex.qtype == "closed" or normalize(ex.reference)]
-    if scored:
-        report.mean_ref_len, report.mean_pred_len = length_stats(scored)
+        report.closed_accuracy_pct = 100.0 * sum(correct) / len(correct)
+        result.per_example.extend(
+            {"example_id": ex.example_id, "qtype": "closed", "correct": ok}
+            for ex, ok in zip(closed_examples, correct)
+        )
+    if open_examples or closed_examples:
+        report.mean_ref_len, report.mean_pred_len = length_stats(open_examples + closed_examples)
     return result
+
+
+def _example_from_row(row: dict) -> EvalExample:
+    return EvalExample(
+        example_id=str(row["example_id"]),
+        question=row.get("question", ""),
+        reference=row["reference"],
+        prediction=row.get("prediction", ""),
+        qtype=row["qtype"],
+    )
 
 
 def read_examples(path: str | Path) -> list[EvalExample]:
     """Load eval examples from JSONL rows of (example_id, question, reference,
     prediction, qtype)."""
-    path = Path(path)
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                out.append(
-                    EvalExample(
-                        example_id=str(row["example_id"]),
-                        question=row.get("question", ""),
-                        reference=row["reference"],
-                        prediction=row.get("prediction", ""),
-                        qtype=row["qtype"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ManifestError(f"line {lineno}: {exc}") from exc
-    return out
+    return list(read_records(path, _example_from_row))
 
 
 def report_to_obj(result: EvalResult) -> dict:
-    report = result.report
     return {
-        "closed_accuracy_pct": report.closed_accuracy_pct,
-        "open_recall_pct": report.open_recall_pct,
-        "recall_pct": report.recall_pct,
-        "precision_pct": report.precision_pct,
-        "f1_pct": report.f1_pct,
-        "mean_ref_len": report.mean_ref_len,
-        "mean_pred_len": report.mean_pred_len,
-        "n_open": report.n_open,
-        "n_closed": report.n_closed,
+        **asdict(result.report),
         "warnings": result.warnings,
         "per_example": result.per_example,
     }

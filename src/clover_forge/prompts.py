@@ -97,9 +97,11 @@ def envelope_digest(envelope: PromptEnvelope) -> str:
 
 # A label is Question/Q/Answer/A followed by a colon, optionally preceded by
 # list numbering like "1." or "2)". Labels are recognized at the start of the
-# text or after whitespace, so mid-line labels parse too.
+# text or after whitespace, so mid-line labels parse too. Only spaces and tabs
+# may sit between numbering and label: across a line break, "3." is the end of
+# the previous answer ("seen on March 3.\nQuestion:"), not numbering.
 _LABEL_RE = re.compile(
-    r"(?:\A|(?<=\s))(?:\(?\d{1,3}[.)]\s*)?(question|answer|q|a)\s*:",
+    r"(?:\A|(?<=\s))(?:\(?\d{1,3}[.)][ \t]*)?(question|answer|q|a)\s*:",
     re.IGNORECASE,
 )
 

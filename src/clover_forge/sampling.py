@@ -2,16 +2,16 @@
 
 The generator is the stock Mersenne Twister (`random.Random`) and selection is
 a partial Fisher-Yates shuffle, so a (seed, n, size) triple always maps to the
-same index sequence. The algorithm identifier lives in the config file as
-`sampler = mt19937_fisher_yates`; no other algorithm is accepted.
+same index sequence.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from typing import Sequence, TypeVar
 
-SAMPLER_ALGORITHM = "mt19937_fisher_yates"
+T = TypeVar("T")
 
 
 def derive_seed(seed: int, key: str) -> int:
@@ -20,21 +20,25 @@ def derive_seed(seed: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sample_indices(n: int, size: int, seed: int) -> list[int]:
-    """Draw `size` distinct indices from range(n), uniformly, in sampled order.
+def draw(rng: random.Random, pool: Sequence[T], k: int) -> list[T]:
+    """`k` distinct items of `pool` in sampled order, consuming `rng`'s state.
 
-    Partial Fisher-Yates: position i swaps with a uniform j in [i, n).
+    Partial Fisher-Yates: position i swaps with a uniform j in [i, len(pool)).
     """
+    items = list(pool)
+    for i in range(k):
+        j = rng.randrange(i, len(items))
+        items[i], items[j] = items[j], items[i]
+    return items[:k]
+
+
+def sample_indices(n: int, size: int, seed: int) -> list[int]:
+    """Draw `size` distinct indices from range(n), uniformly, in sampled order."""
     if size < 0:
         raise ValueError(f"sample size must be >= 0, got {size}")
     if size > n:
         raise ValueError(f"cannot sample {size} items from a population of {n}")
-    rng = random.Random(seed)
-    idx = list(range(n))
-    for i in range(size):
-        j = rng.randrange(i, n)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:size]
+    return draw(random.Random(seed), range(n), size)
 
 
 def shuffle_indices(n: int, seed: int) -> list[int]:

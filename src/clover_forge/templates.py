@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .instructions import Instruction, Provenance, make_instruction
+from .jsonio import read_line_list
 from .sampling import derive_seed
 
 DEFAULT_BANK_SIZE = 17
@@ -37,24 +38,14 @@ class TemplateBank:
 
 def load_bank(path: str | Path) -> TemplateBank:
     """Read a bank file: one statement per line, '#' comments and blanks skipped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    statements = tuple(
-        line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
-    )
-    return TemplateBank(statements)
+    return TemplateBank(tuple(read_line_list(path)))
 
 
 def default_bank() -> TemplateBank:
     """The bundled 17-statement detailed-description bank."""
-    text = (
-        resources.files("clover_forge") / "resources" / "detail_templates.txt"
-    ).read_text(encoding="utf-8")
-    statements = tuple(
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    )
-    bank = TemplateBank(statements)
+    resource = resources.files("clover_forge") / "resources" / "detail_templates.txt"
+    with resources.as_file(resource) as path:
+        bank = load_bank(path)
     if len(bank) != DEFAULT_BANK_SIZE:
         raise ValueError(
             f"bundled template bank has {len(bank)} statements, expected {DEFAULT_BANK_SIZE}"

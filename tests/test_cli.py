@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from clover_forge import fewshot
 from clover_forge.cli import main
 from clover_forge.prompts import build_prompt, envelope_digest
 
@@ -236,6 +238,23 @@ class TestClinicalCommands:
         row = json.loads(lines[0])
         assert row["question"].startswith("Is this pathological image")
 
+    def test_failed_to_vqa_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        patches = tmp_path / "patches.csv"
+        patches.write_text(
+            "patch_id,wsi_id,organ,label,patch_ref\n"
+            + "".join(f"p{i},w1,stomach,tumor,\n" for i in range(3))
+        )
+        out = tmp_path / "vqa.jsonl"
+        assert main(["to-vqa", "--patches", str(patches), "--out", str(out)]) == 0
+        before = out.read_bytes()
+        good = fewshot.to_vqa(fewshot.ingest_patches(patches))
+        unserializable = dataclasses.replace(good[0], example_id=object())
+        monkeypatch.setattr(fewshot, "to_vqa", lambda _: good[:1] + [unserializable])
+        with pytest.raises(TypeError):
+            main(["to-vqa", "--patches", str(patches), "--out", str(out)])
+        assert out.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestKernelAndCost:
     def test_kernel_check_exits_zero_and_writes_report(self, tmp_path, capsys):
@@ -307,3 +326,71 @@ class TestConfig:
         )
         assert main(["--config", str(cfg), "cost-estimate"]) == 0
         assert main(["--config", str(cfg), "gen-template"]) == 0
+
+
+CAPTION = " ".join(f"w{j}" for j in range(30))
+
+# Each JSONL input kind: a valid row for line n, and a key such a row cannot lack.
+JSONL_ROWS = {
+    "instructions": (
+        lambda n: {"instruction_id": f"i{n}", "image_id": f"img{n}", "kind": "template",
+                   "turns": [{"question": "Describe the image.", "answer": CAPTION}],
+                   "provenance": {"method": "template-bank"}},
+        "turns",
+    ),
+    "examples": (
+        lambda n: {"example_id": f"e{n}", "question": "q", "reference": "yes",
+                   "prediction": "yes", "qtype": "closed"},
+        "reference",
+    ),
+    "corpus": (
+        lambda n: {"image_id": f"img{n}", "image_ref": "", "captions": [CAPTION],
+                   "merged_caption": CAPTION, "source": ""},
+        "image_id",
+    ),
+    "fewshot": (lambda n: {"user": f"u{n}", "assistant": f"a{n}"}, "assistant"),
+    "checkpoint": (
+        lambda n: {"image_id": f"img{n}", "prompt_tokens": 10, "completion_tokens": 5,
+                   "estimated_cost_usd": "0.001", "backend_id": "mock", "retries": 0},
+        "prompt_tokens",
+    ),
+}
+
+# Every subcommand that reads JSONL: (input kind, argv with {bad} as that input).
+JSONL_COMMANDS = {
+    "lint": ("instructions", ["lint", "--instructions", "{bad}"]),
+    "assemble": ("instructions", ["assemble", "--gen", "{bad}", "--tmpl", "{bad}",
+                                  "--out", "{out}"]),
+    "eval-vqa": ("examples", ["eval-vqa", "--examples", "{bad}"]),
+    "gen-qa-corpus": ("corpus", ["gen-qa", "--corpus", "{bad}", "--fixtures", "{fixtures}",
+                                 "--out", "{out}"]),
+    "gen-qa-fewshot": ("fewshot", ["gen-qa", "--dry-run", "--fewshot", "{bad}"]),
+    "gen-qa-checkpoint": ("checkpoint", ["gen-qa", "--corpus", "{corpus}", "--fixtures",
+                                         "{fixtures}", "--checkpoint", "{bad}",
+                                         "--out", "{out}"]),
+    "gen-template": ("corpus", ["gen-template", "--corpus", "{bad}", "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("bad_line", ["not-an-object", "not-json", "missing-key"])
+@pytest.mark.parametrize("command", sorted(JSONL_COMMANDS))
+def test_bad_jsonl_line_is_reported_by_line_number(
+    tmp_path, pinned_config, corpus_file, capsys, command, bad_line
+):
+    kind, argv = JSONL_COMMANDS[command]
+    make_row, required = JSONL_ROWS[kind]
+    row = make_row(3)
+    del row[required]
+    third = {"not-an-object": "[1, 2]", "not-json": "{not json",
+             "missing-key": json.dumps(row)}[bad_line]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(make_row(n)) + "\n" for n in (1, 2)) + third + "\n")
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    paths = {"bad": bad, "corpus": corpus_file, "fixtures": fixtures,
+             "out": tmp_path / "out.jsonl"}
+    code = main(["--config", pinned_config, *(a.format(**paths) for a in argv)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line 3: ")
+    assert "Traceback" not in err

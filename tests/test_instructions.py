@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from clover_forge.errors import IntegrityError
+from clover_forge.errors import IntegrityError, ManifestError
 from clover_forge.instructions import (
     Instruction,
     Provenance,
@@ -163,6 +163,15 @@ class TestSerialization:
         tampered = sidecar.read_text().replace('"generation": 3', '"generation": 5')
         sidecar.write_text(tampered)
         with pytest.raises(IntegrityError, match="counts"):
+            read_dataset(path)
+
+    def test_unknown_kind_is_a_line_numbered_error(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        write_dataset(dataset(2), path)
+        rows = path.read_text().splitlines()
+        rows[1] = rows[1].replace('"kind":"generation"', '"kind":"bogus"')
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ManifestError, match="line 2: unknown instruction kind 'bogus'"):
             read_dataset(path)
 
     def test_dataset_manifest_counts_match_items(self):

@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clover_forge.errors import ParseError
 from clover_forge.prompts import (
@@ -132,12 +132,13 @@ class TestParse:
 
 
 _plain_text = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz ,.'-", min_size=1, max_size=60
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789 ,.'-", min_size=1, max_size=60
 ).filter(lambda s: s.strip() == s and s)
 
 
 class TestRoundTrip:
     @given(st.lists(st.tuples(_plain_text, _plain_text), min_size=1, max_size=6))
+    @example([("day?", "3."), ("seen when?", "seen on March 3.")])
     @settings(max_examples=200)
     def test_parse_of_render_is_identity(self, raw_pairs):
         pairs = [QAPair(q, a) for q, a in raw_pairs]
