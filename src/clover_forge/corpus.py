@@ -86,7 +86,10 @@ def ingest_manifest(path: str | Path, fmt: str = "jsonl") -> Corpus:
     duplicates = 0
 
     for lineno, row in _iter_rows(path, fmt):
-        image_id = (row.get("image_id") or "").strip()
+        image_id = row.get("image_id") or ""
+        if not isinstance(image_id, str):
+            raise ManifestError(f"line {lineno}: image_id must be a string")
+        image_id = image_id.strip()
         if not image_id:
             raise ManifestError(f"line {lineno}: missing image_id")
         caption = row.get("caption")
@@ -179,10 +182,13 @@ def read_corpus(path: str | Path) -> Corpus:
         if image_id in seen:
             raise ValueError(f"duplicate image_id {image_id}")
         seen.add(image_id)
+        captions = row.get("captions", [])
+        if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
+            raise ValueError("captions must be a list of strings")
         return ImageTextRecord(
             image_id=image_id,
             image_ref=row.get("image_ref", ""),
-            captions=tuple(row.get("captions", ())),
+            captions=tuple(captions),
             merged_caption=row.get("merged_caption", ""),
             source=row.get("source", ""),
         )

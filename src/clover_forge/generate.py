@@ -1,18 +1,20 @@
 """Batch construction of generation-based instructions.
 
 Records are admitted against the budget in input order before their requests
-are sent: each admission reserves an upper bound (estimated prompt cost plus
-the completion cap), so the sum of actual receipt costs can never pass the
-budget and the set of processed records is deterministic. Requests inside one
-admission wave run concurrently; parsing, linting, the cost ledger, and the
-checkpoint writer stay on the calling thread.
+are sent; each admission reserves an upper bound (estimated prompt cost plus
+the completion cap). Requests run on one thread pool for the whole run, and
+results commit in input order on the calling thread: ledger, checkpoint, parse,
+lint. Admission waits only on commits, never on which request finishes first,
+so the processed set and every output byte are the same for any timing.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from pathlib import Path
 
@@ -24,13 +26,16 @@ from .backends import (
     complete,
     estimate_prompt_tokens,
 )
-from .corpus import Corpus, ImageTextRecord
+from .corpus import Corpus
 from .errors import BackendError, BudgetExceededError, CloverError, ParseError
 from .instructions import Instruction, Provenance, make_instruction
 from .jsonio import read_records
 from .prompts import PromptEnvelope, build_prompt, envelope_digest, lint_qa, parse_qa
 
 DEFAULT_MAX_COMPLETION_TOKENS = 512
+# Admitted-but-uncommitted records per worker: with one, workers idle behind
+# every slow request; eight keeps them busy under heavy-tailed latency.
+WINDOW_PER_WORKER = 8
 
 
 @dataclass
@@ -104,18 +109,19 @@ def load_checkpoint(path: str | Path) -> tuple[set[str], list[GenerationReceipt]
 
 
 def _receipt_row(receipt: GenerationReceipt) -> str:
-    return json.dumps(
-        {
-            "image_id": receipt.image_id,
-            "prompt_tokens": receipt.prompt_tokens,
-            "completion_tokens": receipt.completion_tokens,
-            "estimated_cost_usd": str(receipt.estimated_cost_usd),
-            "backend_id": receipt.backend_id,
-            "retries": receipt.retries,
-        },
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    row = {**asdict(receipt), "estimated_cost_usd": str(receipt.estimated_cost_usd)}
+    return json.dumps(row, ensure_ascii=False, separators=(",", ":"))
+
+
+def _open_journal(stack: ExitStack, path: str | Path | None):
+    """Open an append-only run log, closed when `stack` exits; None for no path."""
+    if path is None:
+        return None
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return stack.enter_context(open(path, "a", encoding="utf-8"))
+    except OSError as exc:
+        raise CloverError(f"cannot open run log: {exc}") from exc
 
 
 def generate_instructions(
@@ -137,8 +143,10 @@ def generate_instructions(
     """Produce one generation-kind instruction per successfully processed record.
 
     Strict mode drops records whose completion fails parsing or linting;
-    lenient mode keeps them and attaches warnings. A budget halt is clean: the
+    lenient mode keeps them and attaches warnings. A halt is clean: the
     checkpoint already holds every processed record, so the run can resume.
+    The run halts before the first record that does not fit the budget, and
+    stops admitting at the first receipt that costs more than its reservation.
     """
     if budget_usd <= 0:
         raise ValueError(f"budget_usd must be positive, got {budget_usd}")
@@ -149,114 +157,97 @@ def generate_instructions(
     done, prior_receipts = (set(), [])
     if checkpoint_path is not None:
         done, prior_receipts = load_checkpoint(checkpoint_path)
-
-    ledger = BudgetLedger(budget_usd=budget_usd)
-    for receipt in prior_receipts:
-        ledger.record(receipt.estimated_cost_usd)
-    ledger.reserved = ledger.spent
+    prior_spend = sum((r.estimated_cost_usd for r in prior_receipts), start=Decimal(0))
+    ledger = BudgetLedger(budget_usd=budget_usd, reserved=prior_spend, spent=prior_spend)
 
     run = GenerationRun()
     model_name = getattr(backend, "model", None)
+    pending = (r for r in corpus.records if r.image_id not in done)
+    window: deque = deque()
+    overrun = False
 
-    checkpoint_fh = None
-    skip_fh = None
-    try:
-        if checkpoint_path is not None:
-            Path(checkpoint_path).parent.mkdir(parents=True, exist_ok=True)
-            checkpoint_fh = open(checkpoint_path, "a", encoding="utf-8")
-        if skip_log_path is not None:
-            Path(skip_log_path).parent.mkdir(parents=True, exist_ok=True)
-            skip_fh = open(skip_log_path, "a", encoding="utf-8")
-    except OSError as exc:
-        raise CloverError(f"cannot open run log: {exc}") from exc
+    with ExitStack() as stack:
+        checkpoint_fh = _open_journal(stack, checkpoint_path)
+        skip_fh = _open_journal(stack, skip_log_path)
+        pool = ThreadPoolExecutor(max_workers=max_concurrency)
+        stack.callback(pool.shutdown, cancel_futures=True)
 
-    def log_skip(image_id: str, reason: str) -> None:
-        run.skipped.append((image_id, reason))
-        if skip_fh is not None:
-            skip_fh.write(
-                json.dumps({"image_id": image_id, "reason": reason}, ensure_ascii=False)
-                + "\n"
-            )
-            skip_fh.flush()
+        def log_skip(image_id: str, reason: str) -> None:
+            run.skipped.append((image_id, reason))
+            if skip_fh is not None:
+                skip_fh.write(
+                    json.dumps({"image_id": image_id, "reason": reason}, ensure_ascii=False)
+                    + "\n"
+                )
+                skip_fh.flush()
 
-    def run_one(item: tuple[ImageTextRecord, PromptEnvelope]):
-        record, envelope = item
-        try:
-            text, receipt = complete(
-                envelope, backend, policy, rates, max_completion_tokens, record.image_id
-            )
-            return record, envelope, text, receipt, None
-        except BackendError as exc:
-            return record, envelope, None, None, exc
-
-    pending = [r for r in corpus.records if r.image_id not in done]
-    try:
-        while pending and not run.halted:
-            wave: list[tuple[ImageTextRecord, PromptEnvelope]] = []
-            while pending and len(wave) < max_concurrency:
-                record = pending[0]
+        while True:
+            while not run.halted and len(window) < WINDOW_PER_WORKER * max_concurrency:
+                record = next(pending, None)
+                if record is None:
+                    break
                 envelope = build_prompt(record.merged_caption, fewshot, system_text)
+                reservation = request_reservation(envelope, rates, max_completion_tokens)
                 try:
-                    ledger.admit(request_reservation(envelope, rates, max_completion_tokens))
+                    ledger.admit(reservation)
                 except BudgetExceededError as exc:
                     run.halted = True
                     run.halt_reason = str(exc)
                     break
-                wave.append((record, envelope))
-                pending.pop(0)
-            if not wave:
+                future = pool.submit(
+                    complete, envelope, backend, policy, rates, max_completion_tokens,
+                    record.image_id,
+                )
+                window.append((record, envelope, reservation, future))
+            if not window:
                 break
-            if len(wave) == 1:
-                results = [run_one(wave[0])]
-            else:
-                with ThreadPoolExecutor(max_workers=len(wave)) as pool:
-                    results = list(pool.map(run_one, wave))
-            for record, envelope, text, receipt, error in results:
-                if error is not None:
-                    log_skip(record.image_id, f"backend_error: {error}")
-                    continue
-                ledger.record(receipt.estimated_cost_usd)
-                run.receipts.append(receipt)
-                if checkpoint_fh is not None:
-                    try:
-                        checkpoint_fh.write(_receipt_row(receipt) + "\n")
-                        checkpoint_fh.flush()
-                    except OSError as exc:
-                        err = CloverError(f"checkpoint write failed: {exc}")
-                        err.partial = run
-                        raise err from exc
+            record, envelope, reservation, future = window.popleft()
+            try:
+                text, receipt = future.result()
+            except BackendError as exc:
+                log_skip(record.image_id, f"backend_error: {exc}")
+                continue
+            ledger.record(receipt.estimated_cost_usd)
+            run.receipts.append(receipt)
+            if checkpoint_fh is not None:
                 try:
-                    parsed = parse_qa(text, strict=strict)
-                except ParseError as exc:
-                    log_skip(record.image_id, f"parse_error: {exc}")
-                    continue
-                report = lint_qa(parsed.pairs)
-                if strict and not report.ok:
-                    rules = sorted({v.rule_id for v in report.violations})
-                    log_skip(
-                        record.image_id,
-                        f"lint_violations: {len(report.violations)} ({', '.join(rules)})",
-                    )
-                    continue
-                run.warnings.extend(
-                    f"{record.image_id}: {w}" for w in parsed.warnings
+                    checkpoint_fh.write(_receipt_row(receipt) + "\n")
+                    checkpoint_fh.flush()
+                except OSError as exc:
+                    err = CloverError(f"checkpoint write failed: {exc}")
+                    err.partial = run
+                    raise err from exc
+            if receipt.estimated_cost_usd > reservation and not overrun:
+                overrun = run.halted = True
+                run.halt_reason = (
+                    f"receipt for {record.image_id} costs {receipt.estimated_cost_usd}, "
+                    f"more than its reservation {reservation}"
                 )
-                run.instructions.append(
-                    make_instruction(
-                        record.image_id,
-                        "generation",
-                        [(p.question, p.answer) for p in parsed.pairs],
-                        Provenance(
-                            method="chat-completion",
-                            model=model_name,
-                            prompt_hash=envelope_digest(envelope),
-                            created_at=created_at,
-                        ),
-                    )
+            try:
+                parsed = parse_qa(text, strict=strict)
+            except ParseError as exc:
+                log_skip(record.image_id, f"parse_error: {exc}")
+                continue
+            report = lint_qa(parsed.pairs)
+            if strict and not report.ok:
+                rules = sorted({v.rule_id for v in report.violations})
+                log_skip(
+                    record.image_id,
+                    f"lint_violations: {len(report.violations)} ({', '.join(rules)})",
                 )
-    finally:
-        if checkpoint_fh is not None:
-            checkpoint_fh.close()
-        if skip_fh is not None:
-            skip_fh.close()
+                continue
+            run.warnings.extend(f"{record.image_id}: {w}" for w in parsed.warnings)
+            run.instructions.append(
+                make_instruction(
+                    record.image_id,
+                    "generation",
+                    [(p.question, p.answer) for p in parsed.pairs],
+                    Provenance(
+                        method="chat-completion",
+                        model=model_name,
+                        prompt_hash=envelope_digest(envelope),
+                        created_at=created_at,
+                    ),
+                )
+            )
     return run

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import IntegrityError
+from .errors import IntegrityError, ManifestError
 from .jsonio import read_records, write_json, write_jsonl
 from .sampling import sample_indices, shuffle_indices
 
@@ -222,7 +222,12 @@ def read_dataset(path: str | Path) -> InstructionDataset:
     sidecar = path.with_name(path.name + ".manifest.json")
     ds = make_dataset(items)
     if sidecar.exists():
-        manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{sidecar}: invalid JSON ({exc})") from exc
+        if not isinstance(manifest, dict):
+            raise ManifestError(f"{sidecar}: expected a JSON object")
         counts = ds.counts_by_kind()
         if manifest.get("counts") and manifest["counts"] != counts:
             raise IntegrityError(

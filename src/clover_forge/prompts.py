@@ -9,6 +9,7 @@ round-trips exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -55,6 +56,7 @@ class ParseResult:
     warnings: list[str] = field(default_factory=list)
 
 
+@functools.cache
 def default_system_text() -> str:
     text = (
         resources.files("clover_forge") / "resources" / "system_prompt.txt"

@@ -394,3 +394,42 @@ def test_bad_jsonl_line_is_reported_by_line_number(
     assert code == 1
     assert err.startswith("error: line 3: ")
     assert "Traceback" not in err
+
+
+# Input that parses as JSON but holds a wrong value: (bad file lines, sidecar text
+# or None, argv with {bad} as that input, expected start of stderr).
+BAD_VALUES = {
+    "ingest-image-id-not-a-string": (
+        [{"image_id": "img1", "caption": CAPTION}, {"image_id": 7, "caption": CAPTION}],
+        None,
+        ["ingest", "--manifest", "{bad}", "--out", "{out}"],
+        "error: line 2: image_id must be a string",
+    ),
+    "corpus-captions-not-a-list": (
+        [JSONL_ROWS["corpus"][0](1), {**JSONL_ROWS["corpus"][0](2), "captions": "abc"}],
+        None,
+        ["gen-template", "--corpus", "{bad}", "--out", "{out}"],
+        "error: line 2: captions must be a list of strings",
+    ),
+    "dataset-sidecar-not-json": (
+        [JSONL_ROWS["instructions"][0](1)],
+        "{\n",
+        ["lint", "--instructions", "{bad}"],
+        "error: {bad}.manifest.json: invalid JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_input_value_is_an_error_not_a_traceback(tmp_path, pinned_config, capsys, case):
+    rows, sidecar, argv, expected = BAD_VALUES[case]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    if sidecar is not None:
+        (tmp_path / "bad.jsonl.manifest.json").write_text(sidecar)
+    paths = {"bad": bad, "out": tmp_path / "out.jsonl"}
+    code = main(["--config", pinned_config, *(a.format(**paths) for a in argv)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(expected.format(**paths))
+    assert "Traceback" not in err

@@ -1,13 +1,18 @@
+import dataclasses
 import json
+import threading
+import time
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+from clover_forge import generate
 from clover_forge.backends import CostRates, MockBackend, RetryPolicy, estimate_tokens
 from clover_forge.corpus import Corpus, ImageTextRecord, merge_and_filter
-from clover_forge.errors import BudgetExceededError
+from clover_forge.errors import BudgetExceededError, CloverError
 from clover_forge.generate import (
+    WINDOW_PER_WORKER,
     BudgetLedger,
     estimate_run_cost,
     generate_instructions,
@@ -243,3 +248,109 @@ def test_receipts_bill_only_final_attempt_usage(tmp_path):
     receipt = result.receipts[0]
     assert receipt.completion_tokens == estimate_tokens(CLEAN_COMPLETION)
     assert receipt.retries == 0
+
+
+class JitterBackend(MockBackend):
+    """Mock backend that sleeps a digest-keyed time and logs completion order,
+    so requests finish out of input order whenever two run at once."""
+
+    def __init__(self, fixture_dir, prompt_factor=1):
+        super().__init__(fixture_dir)
+        self.prompt_factor = prompt_factor
+        self.finished = []
+        self._lock = threading.Lock()
+
+    def complete(self, envelope, max_tokens):
+        digest = envelope_digest(envelope)
+        time.sleep(int(digest[:4], 16) % 8 * 0.002)
+        with self._lock:
+            self.finished.append(envelope.messages[-1].content)
+        response = super().complete(envelope, max_tokens)
+        return dataclasses.replace(
+            response, prompt_tokens=response.prompt_tokens * self.prompt_factor
+        )
+
+
+def test_out_of_order_completions_give_identical_outputs(tmp_path):
+    corpus = corpus_of(40)
+    fx = tmp_path / "fx"
+    stage_all(fx, corpus)
+    stage_fixture(fx, corpus.records[5].merged_caption, DIRTY_COMPLETION)
+    stage_fixture(fx, corpus.records[9].merged_caption, "no labels at all here")
+    (fx / f"{envelope_digest(build_prompt(corpus.records[13].merged_caption))}.txt").unlink()
+    per_request = request_reservation(
+        build_prompt(corpus.records[0].merged_caption), RATES, 512
+    )
+    results = {}
+    for workers in (1, 2, 8):
+        out = tmp_path / f"c{workers}"
+        backend = JitterBackend(fx)
+        result = run(
+            corpus, backend, out, strict=True, max_concurrency=workers,
+            budget_usd=per_request * 33 + per_request / 2,
+        )
+        captions = [r.merged_caption for r in corpus.records[: len(backend.finished)]]
+        results[workers] = (
+            result.instructions,
+            result.receipts,
+            result.skipped,
+            result.halt_reason,
+            (out / "checkpoint.jsonl").read_bytes(),
+            (out / "skips.jsonl").read_bytes(),
+            backend.finished != captions,
+        )
+    assert results[1][-1] is False  # one worker completes in input order
+    assert results[8][-1] is True  # eight workers did not
+    assert results[1][:-1] == results[2][:-1] == results[8][:-1]
+    instructions, receipts, skipped, halt_reason = results[8][:4]
+    assert len(receipts) == 32 and "budget" in halt_reason
+    assert [r.image_id for r in receipts] == [
+        r.image_id for r in corpus.records[:33] if r.image_id != "img013"
+    ]
+    assert [image_id for image_id, _ in skipped] == ["img005", "img009", "img013"]
+    assert len(instructions) == 30
+
+
+def test_receipt_over_its_reservation_stops_admission(tmp_path):
+    corpus = corpus_of(100)
+    stage_all(tmp_path / "fx", corpus)
+    workers = 2
+    cap = estimate_tokens(CLEAN_COMPLETION)  # no completion slack to hide the overrun
+    backend = JitterBackend(tmp_path / "fx", prompt_factor=2)
+    result = run(
+        corpus, backend, tmp_path, max_concurrency=workers, max_completion_tokens=cap
+    )
+    first = result.receipts[0]
+    reservation = request_reservation(
+        build_prompt(corpus.records[0].merged_caption), RATES, cap
+    )
+    assert first.estimated_cost_usd > reservation
+    assert result.halted
+    assert "img000" in result.halt_reason
+    assert str(first.estimated_cost_usd) in result.halt_reason
+    assert str(reservation) in result.halt_reason
+    assert len(result.receipts) - 1 <= WINDOW_PER_WORKER * workers
+    assert [r.image_id for r in result.receipts] == corpus.ids()[: len(result.receipts)]
+
+
+def test_checkpoint_write_failure_stops_workers_and_keeps_partial(tmp_path, monkeypatch):
+    corpus = corpus_of(200)
+    stage_all(tmp_path / "fx", corpus)
+    workers = 2
+    rows = []
+
+    def failing_row(receipt):
+        if len(rows) == 3:
+            raise OSError("disk full")
+        rows.append(receipt.image_id)
+        return json.dumps({"image_id": receipt.image_id})
+
+    monkeypatch.setattr(generate, "_receipt_row", failing_row)
+    backend = JitterBackend(tmp_path / "fx")
+    before = set(threading.enumerate())
+    with pytest.raises(CloverError, match="checkpoint write failed") as excinfo:
+        run(corpus, backend, tmp_path, max_concurrency=workers)
+    partial = excinfo.value.partial
+    assert [r.image_id for r in partial.receipts] == ["img000", "img001", "img002", "img003"]
+    assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert len(backend.finished) <= len(partial.receipts) + WINDOW_PER_WORKER * workers
