@@ -148,6 +148,7 @@ class LiveBackend:
             with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
+            exc.close()  # the error holds the response and its connection
             if exc.code == 429 or exc.code >= 500:
                 raise TransientBackendError(
                     f"backend returned HTTP {exc.code}", status=exc.code

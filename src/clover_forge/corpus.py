@@ -93,9 +93,10 @@ def ingest_manifest(path: str | Path, fmt: str = "jsonl") -> Corpus:
         if not image_id:
             raise ManifestError(f"line {lineno}: missing image_id")
         caption = row.get("caption")
-        if caption is None or not str(caption).strip():
+        if caption is not None and not isinstance(caption, str):
+            raise ManifestError(f"line {lineno}: caption must be a string")
+        if caption is None or not caption.strip():
             raise ManifestError(f"line {lineno}: missing caption for image {image_id}")
-        caption = str(caption)
         if image_id not in captions:
             order.append(image_id)
             captions[image_id] = []
@@ -176,7 +177,13 @@ def read_corpus(path: str | Path) -> Corpus:
     seen: set[str] = set()
 
     def record(row: dict) -> ImageTextRecord:
-        image_id = row.get("image_id", "")
+        fields = {
+            key: row.get(key, "") for key in ("image_id", "image_ref", "merged_caption", "source")
+        }
+        for key, value in fields.items():
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string")
+        image_id = fields["image_id"]
         if not image_id:
             raise ValueError("missing image_id")
         if image_id in seen:
@@ -185,12 +192,6 @@ def read_corpus(path: str | Path) -> Corpus:
         captions = row.get("captions", [])
         if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
             raise ValueError("captions must be a list of strings")
-        return ImageTextRecord(
-            image_id=image_id,
-            image_ref=row.get("image_ref", ""),
-            captions=tuple(captions),
-            merged_caption=row.get("merged_caption", ""),
-            source=row.get("source", ""),
-        )
+        return ImageTextRecord(captions=tuple(captions), **fields)
 
     return Corpus(records=tuple(read_records(path, record)))

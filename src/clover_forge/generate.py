@@ -4,8 +4,9 @@ Records are admitted against the budget in input order before their requests
 are sent; each admission reserves an upper bound (estimated prompt cost plus
 the completion cap). Requests run on one thread pool for the whole run, and
 results commit in input order on the calling thread: ledger, checkpoint, parse,
-lint. Admission waits only on commits, never on which request finishes first,
-so the processed set and every output byte are the same for any timing.
+and, in strict mode, lint. Admission waits only on commits, never on which
+request finishes first, so the processed set and every output byte are the
+same for any timing.
 """
 
 from __future__ import annotations
@@ -142,9 +143,10 @@ def generate_instructions(
 ) -> GenerationRun:
     """Produce one generation-kind instruction per successfully processed record.
 
-    Strict mode drops records whose completion fails parsing or linting;
-    lenient mode keeps them and attaches warnings. A halt is clean: the
-    checkpoint already holds every processed record, so the run can resume.
+    Strict mode drops records whose completion fails parsing or linting.
+    Lenient mode attaches parse warnings only (leading text, a pair count out
+    of range) and does not lint. A halt is clean: the checkpoint already holds
+    every processed record, so the run can resume.
     The run halts before the first record that does not fit the budget, and
     stops admitting at the first receipt that costs more than its reservation.
     """
@@ -228,14 +230,15 @@ def generate_instructions(
             except ParseError as exc:
                 log_skip(record.image_id, f"parse_error: {exc}")
                 continue
-            report = lint_qa(parsed.pairs)
-            if strict and not report.ok:
-                rules = sorted({v.rule_id for v in report.violations})
-                log_skip(
-                    record.image_id,
-                    f"lint_violations: {len(report.violations)} ({', '.join(rules)})",
-                )
-                continue
+            if strict:
+                report = lint_qa(parsed.pairs)
+                if not report.ok:
+                    rules = sorted({v.rule_id for v in report.violations})
+                    log_skip(
+                        record.image_id,
+                        f"lint_violations: {len(report.violations)} ({', '.join(rules)})",
+                    )
+                    continue
             run.warnings.extend(f"{record.image_id}: {w}" for w in parsed.warnings)
             run.instructions.append(
                 make_instruction(

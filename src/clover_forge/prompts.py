@@ -99,11 +99,12 @@ def envelope_digest(envelope: PromptEnvelope) -> str:
 
 # A label is Question/Q/Answer/A followed by a colon, optionally preceded by
 # list numbering like "1." or "2)". Labels are recognized at the start of the
-# text or after whitespace, so mid-line labels parse too. Only spaces and tabs
-# may sit between numbering and label: across a line break, "3." is the end of
-# the previous answer ("seen on March 3.\nQuestion:"), not numbering.
+# text or after whitespace (no non-whitespace character before them), so
+# mid-line labels parse too. Only spaces and tabs may sit between numbering and
+# label: across a line break, "3." is the end of the previous answer ("seen on
+# March 3.\nQuestion:"), not numbering.
 _LABEL_RE = re.compile(
-    r"(?:\A|(?<=\s))(?:\(?\d{1,3}[.)][ \t]*)?(question|answer|q|a)\s*:",
+    r"(?<!\S)(?:\(?\d{1,3}[.)][ \t]*)?(question|answer|q|a)\s*:",
     re.IGNORECASE,
 )
 
@@ -199,11 +200,16 @@ _RULES = (
     ("DATE", _MONTH_DAY_RE),
     ("META_PHRASE", _META_PHRASE_RE),
 )
+# MAGNIFICATION and both DATE patterns need a digit (`\d`, Unicode digits
+# included), so text without one can only match META_PHRASE.
+_DIGIT_RE = re.compile(r"\d")
+_RULES_WITHOUT_DIGIT = tuple(r for r in _RULES if r[0] == "META_PHRASE")
 
 
 def lint_text(text: str) -> LintReport:
     report = LintReport()
-    for rule_id, pattern in _RULES:
+    rules = _RULES if _DIGIT_RE.search(text) else _RULES_WITHOUT_DIGIT
+    for rule_id, pattern in rules:
         for m in pattern.finditer(text):
             report.violations.append(
                 LintViolation(rule_id, (m.start(), m.end()), m.group(0))

@@ -153,6 +153,7 @@ def scripted_server():
     _ScriptedHandler.seen_bodies = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestLiveBackend:

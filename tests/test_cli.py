@@ -405,6 +405,26 @@ BAD_VALUES = {
         ["ingest", "--manifest", "{bad}", "--out", "{out}"],
         "error: line 2: image_id must be a string",
     ),
+    "ingest-caption-not-a-string": (
+        [{"image_id": "img1", "caption": CAPTION}, {"image_id": "img2", "caption": ["a", "b"]}],
+        None,
+        ["ingest", "--manifest", "{bad}", "--out", "{out}", "--min-words", "1"],
+        "error: line 2: caption must be a string",
+    ),
+    **{
+        f"corpus-{key.replace('_', '-')}-not-a-string": (
+            [JSONL_ROWS["corpus"][0](1), {**JSONL_ROWS["corpus"][0](2), key: 7}],
+            None,
+            argv,
+            f"error: line 2: {key} must be a string",
+        )
+        for key, argv in (
+            ("image_id", ["gen-template", "--corpus", "{bad}", "--out", "{out}"]),
+            ("image_ref", ["gen-template", "--corpus", "{bad}", "--out", "{out}"]),
+            ("merged_caption", ["cost-estimate", "--corpus", "{bad}"]),
+            ("source", ["gen-template", "--corpus", "{bad}", "--out", "{out}"]),
+        )
+    },
     "corpus-captions-not-a-list": (
         [JSONL_ROWS["corpus"][0](1), {**JSONL_ROWS["corpus"][0](2), "captions": "abc"}],
         None,

@@ -19,7 +19,7 @@ from clover_forge.generate import (
     load_checkpoint,
     request_reservation,
 )
-from clover_forge.prompts import build_prompt, envelope_digest
+from clover_forge.prompts import build_prompt, envelope_digest, lint_qa, parse_qa
 
 RATES = CostRates(Decimal("0.0015"), Decimal("0.002"))
 FAST = RetryPolicy(max_retries=2, backoff_base_s=0.0)
@@ -194,6 +194,40 @@ def test_lenient_mode_keeps_dirty_and_short_completions(tmp_path):
     result = run(corpus, MockBackend(fx), tmp_path, strict=False)
     assert len(result.instructions) == 2
     assert any("4-5" in w for w in result.warnings)
+
+
+def test_only_strict_mode_lints(tmp_path, monkeypatch):
+    corpus = corpus_of(4)
+    fx = tmp_path / "fx"
+    texts = (CLEAN_COMPLETION, DIRTY_COMPLETION, SHORT_COMPLETION, "no labels at all here")
+    for record, text in zip(corpus.records, texts):
+        stage_fixture(fx, record.merged_caption, text)
+    linted = []
+
+    def counting_lint_qa(pairs):
+        linted.append(pairs)
+        return lint_qa(pairs)
+
+    monkeypatch.setattr(generate, "lint_qa", counting_lint_qa)
+
+    lenient = run(corpus, MockBackend(fx), tmp_path / "lenient", strict=False)
+    assert linted == []
+    assert [it.image_id for it in lenient.instructions] == ["img000", "img001", "img002"]
+    for it, text in zip(lenient.instructions, texts):
+        assert [(t.question, t.answer) for t in it.turns] == [
+            (p.question, p.answer) for p in parse_qa(text).pairs
+        ]
+    assert [r.image_id for r in lenient.receipts] == ["img000", "img001", "img002", "img003"]
+    assert [(i, r.split(":")[0]) for i, r in lenient.skipped] == [("img003", "parse_error")]
+    assert lenient.warnings == ["img002: expected 4-5 QA pairs, found 2"]
+
+    strict = run(corpus, MockBackend(fx), tmp_path / "strict", strict=True)
+    assert linted == [parse_qa(CLEAN_COMPLETION).pairs, parse_qa(DIRTY_COMPLETION).pairs]
+    assert [it.image_id for it in strict.instructions] == ["img000"]
+    assert [(i, r.split(":")[0]) for i, r in strict.skipped] == [
+        ("img001", "lint_violations"), ("img002", "parse_error"), ("img003", "parse_error"),
+    ]
+    assert "MAGNIFICATION" in dict(strict.skipped)["img001"]
 
 
 def test_missing_fixture_becomes_backend_skip(tmp_path):

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from clover_forge.errors import ParseError
 from clover_forge.prompts import (
+    _RULES,
+    LintViolation,
     Message,
     PromptEnvelope,
     QAPair,
@@ -197,3 +199,29 @@ class TestLint:
 
     def test_grid_dimensions_not_flagged_as_magnification(self):
         assert lint_text("a 2x2 arrangement of nuclei").ok
+
+
+# Digits (ASCII and the Arabic-Indic three), magnification signs, month names,
+# the meta words, characters that case-fold onto ASCII letters and whitespace.
+_lint_tokens = st.sampled_from(
+    [*"0123456789", "٣", "x", "X", "×", "ſ", "ı", "a", "e", ".", ",", " ", "\t", "\n",
+     "May", "mar", "March", "Sept", "dec", "mention", "titles", "context", "narrator"]
+)
+
+
+def _lint_all_rules(text):
+    violations = [
+        LintViolation(rule_id, (m.start(), m.end()), m.group(0))
+        for rule_id, pattern in _RULES
+        for m in pattern.finditer(text)
+    ]
+    violations.sort(key=lambda v: (v.span, v.rule_id))
+    return violations
+
+
+@given(st.lists(_lint_tokens, max_size=24).map("".join))
+@example("May ٣")
+@example("1999 x")
+@settings(max_examples=300)
+def test_digit_gate_matches_running_every_rule(text):
+    assert lint_text(text).violations == _lint_all_rules(text)
