@@ -21,6 +21,9 @@ from .errors import BackendError, ConfigError, TransientBackendError
 from .prompts import PromptEnvelope, envelope_digest
 
 API_KEY_ENV = "CLOVER_API_KEY"
+DEFAULT_MAX_COMPLETION_TOKENS = 512
+BACKOFF_FACTOR = 2.0
+LIVE_TIMEOUT_S = 60.0
 
 
 def estimate_tokens(text: str) -> int:
@@ -58,10 +61,9 @@ class GenerationReceipt:
 class RetryPolicy:
     max_retries: int = 5
     backoff_base_s: float = 1.0
-    backoff_factor: float = 2.0
 
     def delay(self, attempt: int) -> float:
-        return self.backoff_base_s * self.backoff_factor**attempt
+        return self.backoff_base_s * BACKOFF_FACTOR**attempt
 
 
 @dataclass
@@ -106,26 +108,17 @@ class MockBackend:
 
 
 class LiveBackend:
-    """POSTs to an openai-chat dialect endpoint; credential from CLOVER_API_KEY."""
+    """POSTs to an openai-chat endpoint; credential from CLOVER_API_KEY."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        dialect: str = "openai-chat",
-        timeout_s: float = 60.0,
-    ):
+    def __init__(self, endpoint: str, model: str):
         if not endpoint:
             raise ConfigError("live backend requires a non-empty endpoint")
-        if dialect != "openai-chat":
-            raise ConfigError(f"unsupported backend dialect '{dialect}'")
         api_key = os.environ.get(API_KEY_ENV, "")
         if not api_key:
             raise ConfigError(f"live backend requires the {API_KEY_ENV} environment variable")
         self.endpoint = endpoint
         self.model = model
         self._api_key = api_key
-        self.timeout_s = timeout_s
         self.backend_id = f"live:{endpoint}#{model}"
 
     def complete(self, envelope: PromptEnvelope, max_tokens: int) -> BackendResponse:
@@ -145,7 +138,7 @@ class LiveBackend:
             method="POST",
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+            with urllib.request.urlopen(request, timeout=LIVE_TIMEOUT_S) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
             exc.close()  # the error holds the response and its connection
@@ -174,7 +167,7 @@ def complete(
     backend: CompletionBackend,
     policy: RetryPolicy,
     rates: CostRates,
-    max_completion_tokens: int = 512,
+    max_completion_tokens: int = DEFAULT_MAX_COMPLETION_TOKENS,
     image_id: str = "",
 ) -> tuple[str, GenerationReceipt]:
     """Run one completion with exponential-backoff retries; returns text + receipt.

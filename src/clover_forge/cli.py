@@ -37,24 +37,22 @@ def _read_fewshot(path: str | None) -> list[tuple[str, str]]:
     return list(read_records(path, lambda row: (row["user"], row["assistant"])))
 
 
-def _build_backend(args, cfg: config_mod.Config):
-    fixtures = getattr(args, "fixtures", None) or cfg.fixtures_path
-    if fixtures:
-        return backends.MockBackend(fixtures)
-    if cfg.backend_mode == "mock":
+def _build_backend(cfg: config_mod.Config):
+    if cfg.fixtures:
+        return backends.MockBackend(cfg.fixtures)
+    if cfg.mode == "mock":
         raise CloverError("mock backend needs --fixtures pointing at a fixture directory")
-    return backends.LiveBackend(cfg.endpoint, cfg.model, cfg.dialect)
+    return backends.LiveBackend(cfg.endpoint, cfg.model)
 
 
 def _out_path(explicit: str | None, cfg: config_mod.Config, default_name: str) -> Path:
     return Path(explicit) if explicit else cfg.output_dir / default_name
 
 
-def _corpus_path(args, cfg: config_mod.Config) -> str:
-    path = getattr(args, "corpus", None) or cfg.corpus_path
-    if not path:
+def _corpus_path(cfg: config_mod.Config) -> str:
+    if not cfg.corpus:
         raise CloverError("no corpus given: pass --corpus or set [paths] corpus in the config")
-    return path
+    return cfg.corpus
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -63,9 +61,9 @@ def cmd_ingest(args, cfg) -> int:
     corpus = corpus_mod.ingest_manifest(args.manifest, args.format)
     ingested = len(corpus)
     dropped = corpus.meta.get("duplicate_captions_dropped", 0)
-    corpus = corpus_mod.merge_and_filter(corpus, args.min_words or cfg.min_words)
+    corpus = corpus_mod.merge_and_filter(corpus, cfg.min_words)
     if args.sample is not None:
-        corpus = corpus_mod.sample(corpus, args.sample, args.seed)
+        corpus = corpus_mod.sample(corpus, args.sample, cfg.seed)
     out = _out_path(args.out, cfg, "corpus.jsonl")
     corpus_mod.write_corpus(corpus, out)
     print(
@@ -76,13 +74,12 @@ def cmd_ingest(args, cfg) -> int:
 
 
 def cmd_gen_template(args, cfg) -> int:
-    corpus = corpus_mod.read_corpus(_corpus_path(args, cfg))
-    bank_path = args.bank or cfg.templates_path
-    bank = templates.load_bank(bank_path) if bank_path else templates.default_bank()
+    corpus = corpus_mod.read_corpus(_corpus_path(cfg))
+    bank = templates.load_bank(cfg.templates) if cfg.templates else templates.default_bank()
     items = templates.build_template_instructions(
-        corpus, bank, args.seed, created_at=_created_at(cfg)
+        corpus, bank, cfg.seed, created_at=_created_at(cfg)
     )
-    ds = instr_mod.make_dataset(items, seed=args.seed)
+    ds = instr_mod.make_dataset(items, seed=cfg.seed)
     out = _out_path(args.out, cfg, "template_instructions.jsonl")
     instr_mod.write_dataset(ds, out)
     print(f"built {len(ds)} template instructions from bank of {len(bank)} -> {out}")
@@ -98,22 +95,17 @@ def cmd_gen_qa(args, cfg) -> int:
         else:
             sys.stdout.write(prompts.envelope_to_json(envelope))
         return 0
-    corpus = corpus_mod.read_corpus(_corpus_path(args, cfg))
-    backend = _build_backend(args, cfg)
+    corpus = corpus_mod.read_corpus(_corpus_path(cfg))
+    backend = _build_backend(cfg)
     out = _out_path(args.out, cfg, "generation_instructions.jsonl")
     checkpoint = args.checkpoint or str(out) + ".checkpoint.jsonl"
     skip_log = args.skip_log or str(out) + ".skips.jsonl"
-    strict = cfg.strict_parse
-    if args.strict:
-        strict = True
-    elif args.lenient:
-        strict = False
     run = generate.generate_instructions(
         corpus,
         backend,
         fewshot_pairs,
-        budget_usd=args.budget if args.budget is not None else cfg.budget_usd,
-        strict=strict,
+        budget_usd=cfg.budget_usd,
+        strict=cfg.strict_parse,
         rates=backends.CostRates(cfg.rate_in_usd_per_1k, cfg.rate_out_usd_per_1k),
         policy=backends.RetryPolicy(cfg.max_retries, cfg.backoff_base_s),
         max_completion_tokens=cfg.max_completion_tokens,
@@ -122,7 +114,7 @@ def cmd_gen_qa(args, cfg) -> int:
         skip_log_path=skip_log,
         created_at=_created_at(cfg),
     )
-    ds = instr_mod.make_dataset(run.instructions, seed=args.seed)
+    ds = instr_mod.make_dataset(run.instructions, seed=cfg.seed)
     instr_mod.write_dataset(ds, out)
     spent = sum((r.estimated_cost_usd for r in run.receipts), start=Decimal(0))
     halted = f", halted: {run.halt_reason}" if run.halted else ""
@@ -174,7 +166,7 @@ def cmd_assemble(args, cfg) -> int:
 
 def cmd_split_subsets(args, cfg) -> int:
     ds = instr_mod.read_dataset(args.dataset)
-    subsets = instr_mod.split_subsets(ds, args.k, args.seed)
+    subsets = instr_mod.split_subsets(ds, args.k, cfg.seed)
     out_dir = _out_path(args.out_dir, cfg, "subsets")
     for i, subset in enumerate(subsets, start=1):
         instr_mod.write_dataset(subset, out_dir / f"subset_{i}.jsonl")
@@ -185,7 +177,7 @@ def cmd_split_subsets(args, cfg) -> int:
 
 def cmd_sample_scale(args, cfg) -> int:
     ds = instr_mod.read_dataset(args.dataset)
-    sampled = instr_mod.sample_scale(ds, args.size, args.seed)
+    sampled = instr_mod.sample_scale(ds, args.size, cfg.seed)
     out = _out_path(args.out, cfg, "sampled_instructions.jsonl")
     instr_mod.write_dataset(sampled, out)
     print(f"sampled {len(sampled)} of {len(ds)} instructions -> {out}")
@@ -215,7 +207,7 @@ def cmd_fewshot_split(args, cfg) -> int:
     patches = fewshot.ingest_patches(args.patches)
     test_wsis = fewshot.read_wsi_list(args.test_wsis)
     splits = fewshot.make_kshot(
-        patches, args.organ, args.k, test_wsis, args.seed, args.replicates
+        patches, args.organ, args.k, test_wsis, cfg.seed, args.replicates
     )
     out_dir = _out_path(args.out_dir, cfg, "splits")
     for split in splits:
@@ -240,7 +232,7 @@ def cmd_to_vqa(args, cfg) -> int:
 
 
 def cmd_kernel_check(args, cfg) -> int:
-    report = losses.run_kernel_check(seed=args.seed, identity_cases=args.cases)
+    report = losses.run_kernel_check(seed=cfg.seed, identity_cases=args.cases)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status} {check['name']}: max_error={check['max_error']:.3e} tol={check['tolerance']:.0e}")
@@ -251,7 +243,7 @@ def cmd_kernel_check(args, cfg) -> int:
 
 
 def cmd_cost_estimate(args, cfg) -> int:
-    corpus = corpus_mod.read_corpus(_corpus_path(args, cfg))
+    corpus = corpus_mod.read_corpus(_corpus_path(cfg))
     rates = backends.CostRates(cfg.rate_in_usd_per_1k, cfg.rate_out_usd_per_1k)
     total = generate.estimate_run_cost(
         corpus,
@@ -259,9 +251,8 @@ def cmd_cost_estimate(args, cfg) -> int:
         _read_fewshot(args.fewshot),
         max_completion_tokens=cfg.max_completion_tokens,
     )
-    budget = args.budget if args.budget is not None else cfg.budget_usd
-    verdict = "within" if total <= budget else "EXCEEDS"
-    print(f"projected worst-case spend ${total} for {len(corpus)} records ({verdict} budget ${budget})")
+    verdict = "within" if total <= cfg.budget_usd else "EXCEEDS"
+    print(f"projected worst-case spend ${total} for {len(corpus)} records ({verdict} budget ${cfg.budget_usd})")
     return 0
 
 
@@ -286,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-template", help="build template-based instructions")
     p.add_argument("--corpus")
-    p.add_argument("--bank", help="template bank file (default: bundled bank)")
+    p.add_argument("--bank", dest="templates", help="template bank file (default: bundled bank)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen_template)
 
@@ -294,9 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--fewshot", help="few-shot pairs JSONL with user/assistant fields")
     p.add_argument("--fixtures", help="mock backend fixture directory")
-    p.add_argument("--budget", type=Decimal)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--lenient", action="store_true")
+    p.add_argument("--budget", type=Decimal, dest="budget_usd")
+    parse_mode = p.add_mutually_exclusive_group()
+    parse_mode.add_argument("--strict", dest="strict_parse", action="store_const", const=True)
+    parse_mode.add_argument("--lenient", dest="strict_parse", action="store_const", const=False)
     p.add_argument("--checkpoint")
     p.add_argument("--skip-log")
     p.add_argument("--out")
@@ -361,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost-estimate", help="project a generation run's worst-case spend")
     p.add_argument("--corpus")
     p.add_argument("--fewshot")
-    p.add_argument("--budget", type=Decimal)
+    p.add_argument("--budget", type=Decimal, dest="budget_usd")
     p.set_defaults(func=cmd_cost_estimate)
 
     return parser
@@ -374,9 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = config_mod.load_config(args.config)
-        if args.seed is None:
-            args.seed = cfg.seed
+        cfg = config_mod.load_config(args.config, vars(args))
         return args.func(args, cfg)
     except (CloverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,13 +97,14 @@ def ingest_manifest(path: str | Path, fmt: str = "jsonl") -> Corpus:
             raise ManifestError(f"line {lineno}: caption must be a string")
         if caption is None or not caption.strip():
             raise ManifestError(f"line {lineno}: missing caption for image {image_id}")
+        head = {key: row.get(key) or "" for key in ("image_ref", "source")}
+        for key, value in head.items():
+            if not isinstance(value, str):
+                raise ManifestError(f"line {lineno}: {key} must be a string")
         if image_id not in captions:
             order.append(image_id)
             captions[image_id] = []
-            heads[image_id] = {
-                "image_ref": str(row.get("image_ref") or ""),
-                "source": str(row.get("source") or ""),
-            }
+            heads[image_id] = head
         if caption in captions[image_id]:
             duplicates += 1
             continue

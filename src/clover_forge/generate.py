@@ -20,6 +20,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .backends import (
+    DEFAULT_MAX_COMPLETION_TOKENS,
     CompletionBackend,
     CostRates,
     GenerationReceipt,
@@ -33,7 +34,8 @@ from .instructions import Instruction, Provenance, make_instruction
 from .jsonio import read_records
 from .prompts import PromptEnvelope, build_prompt, envelope_digest, lint_qa, parse_qa
 
-DEFAULT_MAX_COMPLETION_TOKENS = 512
+DEFAULT_BUDGET_USD = Decimal("8.00")
+DEFAULT_MAX_CONCURRENCY = 4
 # Admitted-but-uncommitted records per worker: with one, workers idle behind
 # every slow request; eight keeps them busy under heavy-tailed latency.
 WINDOW_PER_WORKER = 8
@@ -129,14 +131,14 @@ def generate_instructions(
     corpus: Corpus,
     backend: CompletionBackend,
     fewshot: list[tuple[str, str]] = (),
-    budget_usd: Decimal = Decimal("8.00"),
+    budget_usd: Decimal = DEFAULT_BUDGET_USD,
     strict: bool = False,
     *,
     rates: CostRates,
     policy: RetryPolicy | None = None,
     system_text: str | None = None,
     max_completion_tokens: int = DEFAULT_MAX_COMPLETION_TOKENS,
-    max_concurrency: int = 4,
+    max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
     checkpoint_path: str | Path | None = None,
     skip_log_path: str | Path | None = None,
     created_at: str = "",
@@ -154,6 +156,8 @@ def generate_instructions(
         raise ValueError(f"budget_usd must be positive, got {budget_usd}")
     if max_concurrency < 1:
         raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
+    if max_completion_tokens < 1:
+        raise ValueError(f"max_completion_tokens must be >= 1, got {max_completion_tokens}")
     policy = policy or RetryPolicy()
 
     done, prior_receipts = (set(), [])

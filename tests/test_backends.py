@@ -162,11 +162,6 @@ class TestLiveBackend:
         with pytest.raises(ConfigError, match="CLOVER_API_KEY"):
             LiveBackend("http://example.invalid", "gpt-3.5-turbo")
 
-    def test_unsupported_dialect_rejected(self, monkeypatch):
-        monkeypatch.setenv("CLOVER_API_KEY", "k")
-        with pytest.raises(ConfigError, match="dialect"):
-            LiveBackend("http://example.invalid", "m", dialect="anthropic")
-
     def test_429_then_200_succeeds_with_one_retry(self, monkeypatch, scripted_server):
         monkeypatch.setenv("CLOVER_API_KEY", "test-key")
         _ScriptedHandler.statuses = [429]

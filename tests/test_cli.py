@@ -412,6 +412,16 @@ BAD_VALUES = {
         "error: line 2: caption must be a string",
     ),
     **{
+        f"ingest-{key.replace('_', '-')}-not-a-string": (
+            [{"image_id": "img1", "caption": CAPTION},
+             {"image_id": "img2", "caption": CAPTION, key: value}],
+            None,
+            ["ingest", "--manifest", "{bad}", "--out", "{out}", "--min-words", "1"],
+            f"error: line 2: {key} must be a string",
+        )
+        for key, value in (("image_ref", ["x", "y"]), ("source", 3))
+    },
+    **{
         f"corpus-{key.replace('_', '-')}-not-a-string": (
             [JSONL_ROWS["corpus"][0](1), {**JSONL_ROWS["corpus"][0](2), key: 7}],
             None,

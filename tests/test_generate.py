@@ -260,6 +260,15 @@ def test_zero_budget_rejected(tmp_path):
         run(corpus_of(1), MockBackend(tmp_path), tmp_path, budget_usd=Decimal(0))
 
 
+@pytest.mark.parametrize("cap", [0, -400])
+def test_completion_cap_below_one_rejected(tmp_path, cap):
+    # A reservation without the completion would admit more than the budget covers.
+    stage_all(tmp_path / "fx", corpus_of(1))
+    with pytest.raises(ValueError, match="max_completion_tokens must be >= 1"):
+        run(corpus_of(1), MockBackend(tmp_path / "fx"), tmp_path, max_completion_tokens=cap)
+    assert not (tmp_path / "checkpoint.jsonl").exists()
+
+
 def test_ledger_refuses_before_any_spend():
     ledger = BudgetLedger(budget_usd=Decimal("1.00"))
     ledger.admit(Decimal("0.60"))
