@@ -18,7 +18,7 @@ from . import backends, config as config_mod, corpus as corpus_mod, fewshot, gen
 from . import instructions as instr_mod
 from . import losses, metrics, prompts, templates
 from .errors import CloverError
-from .jsonio import read_records, write_json, write_jsonl
+from .jsonio import read_line_list, read_records, write_json, write_jsonl
 
 DRY_RUN_CAPTION = "description"
 
@@ -47,6 +47,14 @@ def _build_backend(cfg: config_mod.Config):
 
 def _out_path(explicit: str | None, cfg: config_mod.Config, default_name: str) -> Path:
     return Path(explicit) if explicit else cfg.output_dir / default_name
+
+
+def _decimal_flag(text: str) -> Decimal:
+    """argparse type: a bad Decimal is a usage error, not an InvalidOperation traceback."""
+    try:
+        return Decimal(text)
+    except ArithmeticError:
+        raise argparse.ArgumentTypeError(f"invalid decimal value: '{text}'") from None
 
 
 def _corpus_path(cfg: config_mod.Config) -> str:
@@ -130,8 +138,7 @@ def cmd_lint(args, cfg) -> int:
     rows = []
     total = 0
     for it in ds.items:
-        pairs = [prompts.QAPair(t.question, t.answer) for t in it.turns]
-        report = prompts.lint_qa(pairs)
+        report = prompts.lint_qa(it.turns)
         total += len(report.violations)
         if not report.ok:
             rows.append(
@@ -205,7 +212,7 @@ def cmd_cost_ratio(args, cfg) -> int:
 
 def cmd_fewshot_split(args, cfg) -> int:
     patches = fewshot.ingest_patches(args.patches)
-    test_wsis = fewshot.read_wsi_list(args.test_wsis)
+    test_wsis = read_line_list(args.test_wsis)
     splits = fewshot.make_kshot(
         patches, args.organ, args.k, test_wsis, cfg.seed, args.replicates
     )
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--fewshot", help="few-shot pairs JSONL with user/assistant fields")
     p.add_argument("--fixtures", help="mock backend fixture directory")
-    p.add_argument("--budget", type=Decimal, dest="budget_usd")
+    p.add_argument("--budget", type=_decimal_flag, dest="budget_usd")
     parse_mode = p.add_mutually_exclusive_group()
     parse_mode.add_argument("--strict", dest="strict_parse", action="store_const", const=True)
     parse_mode.add_argument("--lenient", dest="strict_parse", action="store_const", const=False)
@@ -353,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost-estimate", help="project a generation run's worst-case spend")
     p.add_argument("--corpus")
     p.add_argument("--fewshot")
-    p.add_argument("--budget", type=Decimal, dest="budget_usd")
+    p.add_argument("--budget", type=_decimal_flag, dest="budget_usd")
     p.set_defaults(func=cmd_cost_estimate)
 
     return parser

@@ -93,13 +93,16 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Co
     given) and a name that is not a key are skipped. Keys the file sets that
     are not in `SECTIONS` are ignored.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     path = path or os.environ.get(CONFIG_ENV)
     if path:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        parser.read(path, encoding="utf-8")
+        try:
+            parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from exc
     values = {
         key: _parse(key, parser.get(section, key))
         for key, section in _SECTION_OF.items()

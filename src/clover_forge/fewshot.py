@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IntegrityError, ManifestError
-from .jsonio import read_line_list, write_json
+from .jsonio import write_json
 from .metrics import EvalExample
 from .sampling import derive_seed, draw
 
@@ -99,17 +99,6 @@ def ingest_patches(path: str | Path) -> list[PatchRecord]:
     return records
 
 
-def count_patches(records: list[PatchRecord]) -> dict:
-    """Summary counts: total and per (organ, label)."""
-    counts = {"total": len(records)}
-    for organ in ORGANS:
-        for label in LABELS:
-            counts[f"{organ}/{label}"] = sum(
-                1 for r in records if r.organ == organ and r.label == label
-            )
-    return counts
-
-
 def wsi_classes(records: list[PatchRecord]) -> dict[str, str]:
     """Map each WSI to its class: tumor if any patch is tumor, else non_tumor."""
     classes: dict[str, str] = {}
@@ -119,11 +108,6 @@ def wsi_classes(records: list[PatchRecord]) -> dict[str, str]:
         else:
             classes.setdefault(r.wsi_id, "non_tumor")
     return classes
-
-
-def read_wsi_list(path: str | Path) -> list[str]:
-    """Test-WSI manifest: one id per line, '#' comments allowed."""
-    return read_line_list(path)
 
 
 def make_kshot(

@@ -248,7 +248,7 @@ def generate_instructions(
                 make_instruction(
                     record.image_id,
                     "generation",
-                    [(p.question, p.answer) for p in parsed.pairs],
+                    parsed.pairs,
                     Provenance(
                         method="chat-completion",
                         model=model_name,

@@ -15,15 +15,10 @@ from pathlib import Path
 from . import __version__
 from .errors import IntegrityError, ManifestError
 from .jsonio import read_records, write_json, write_jsonl
+from .prompts import QAPair
 from .sampling import sample_indices, shuffle_indices
 
 KINDS = ("generation", "template")
-
-
-@dataclass(frozen=True)
-class Turn:
-    question: str
-    answer: str
 
 
 @dataclass(frozen=True)
@@ -39,35 +34,38 @@ class Instruction:
     instruction_id: str
     image_id: str
     kind: str
-    turns: tuple[Turn, ...]
+    turns: tuple[QAPair, ...]
     provenance: Provenance
+
+
+_encode_digest_payload = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps bytes
 
 
 def instruction_digest(image_id: str, kind: str, questions: list[str]) -> str:
     """Deterministic id: sha256 over (image_id, kind, ordered questions)."""
-    payload = json.dumps([image_id, kind, questions], ensure_ascii=False)
+    payload = _encode_digest_payload([image_id, kind, questions])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def make_instruction(
-    image_id: str,
-    kind: str,
-    turns: list[tuple[str, str]] | list[Turn],
-    provenance: Provenance,
+    image_id: str, kind: str, turns: list[tuple[str, str]] | list[QAPair], provenance: Provenance
 ) -> Instruction:
-    """Build a validated Instruction with its content-derived id."""
+    """Build a validated Instruction with its content-derived id; the one
+    content check, which `read_dataset` runs on every row too."""
     if kind not in KINDS:
         raise ValueError(f"unknown instruction kind '{kind}'")
-    norm = tuple(t if isinstance(t, Turn) else Turn(*t) for t in turns)
+    if not isinstance(image_id, str):
+        raise ValueError("image_id must be a string")
+    norm = tuple([t if isinstance(t, QAPair) else QAPair(*t) for t in turns])
     if not norm:
         raise ValueError(f"instruction for image {image_id} has no turns")
     for i, t in enumerate(norm, start=1):
+        if not isinstance(t.question, str) or not isinstance(t.answer, str):
+            raise ValueError(f"instruction for image {image_id}: non-string text in turn {i}")
         if not t.question.strip() or not t.answer.strip():
             raise ValueError(f"instruction for image {image_id}: empty text in turn {i}")
     if kind == "template" and len(norm) != 1:
-        raise ValueError(
-            f"template instruction for image {image_id} must have exactly one turn"
-        )
+        raise ValueError(f"template instruction for image {image_id} must have exactly one turn")
     digest = instruction_digest(image_id, kind, [t.question for t in norm])
     return Instruction(digest, image_id, kind, norm, provenance)
 
@@ -185,21 +183,17 @@ def _instruction_to_obj(it: Instruction) -> dict:
 
 
 def _instruction_from_obj(obj: dict) -> Instruction:
-    if obj.get("kind") not in KINDS:
-        raise ValueError(f"unknown instruction kind {obj.get('kind')!r}")
     prov = obj.get("provenance") or {}
-    return Instruction(
-        instruction_id=obj["instruction_id"],
-        image_id=obj["image_id"],
-        kind=obj["kind"],
-        turns=tuple(Turn(t["question"], t["answer"]) for t in obj["turns"]),
-        provenance=Provenance(
-            method=prov.get("method", ""),
-            model=prov.get("model"),
-            prompt_hash=prov.get("prompt_hash"),
-            created_at=prov.get("created_at", ""),
-        ),
+    it = make_instruction(
+        obj["image_id"],
+        obj["kind"],
+        [QAPair(t["question"], t["answer"]) for t in obj["turns"]],
+        Provenance(prov.get("method", ""), prov.get("model"), prov.get("prompt_hash"),
+                   prov.get("created_at", "")),
     )
+    if obj["instruction_id"] != it.instruction_id:
+        raise ValueError(f"instruction_id does not match its content (expected {it.instruction_id})")
+    return it
 
 
 def write_dataset(ds: InstructionDataset, path: str | Path) -> None:

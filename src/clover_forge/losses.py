@@ -12,14 +12,11 @@ agree at tolerance level instead of disagreeing at -inf.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import GradCheckError
-from .jsonio import atomic_open, write_json
 
 PROB_FLOOR = 1e-12
 NORM_TOL = 1e-6
@@ -54,10 +51,6 @@ class EmbeddingBatch:
                 )
         object.__setattr__(self, "query_embeddings", q)
         object.__setattr__(self, "text_embeddings", t)
-
-    @property
-    def batch_size(self) -> int:
-        return self.text_embeddings.shape[0]
 
 
 @dataclass(frozen=True)
@@ -245,31 +238,6 @@ def grad_check(loss_fn, grad_fn, x, h: float = 1e-4, tol: float = 1e-5) -> GradC
         tolerance=tol,
         n_coordinates=int(x.size),
     )
-
-
-# --- tensor fixtures ----------------------------------------------------------
-
-def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    """Persist an array as .npy (binary with shape header) or .json {shape, data}."""
-    path = Path(path)
-    array = np.asarray(array, dtype=float)
-    if path.suffix == ".npy":
-        with atomic_open(path, "wb") as fh:
-            np.save(fh, array)
-    elif path.suffix == ".json":
-        write_json(path, {"shape": list(array.shape), "data": array.ravel().tolist()})
-    else:
-        raise ValueError(f"unsupported tensor fixture suffix: {path.suffix}")
-
-
-def read_tensor(path: str | Path) -> np.ndarray:
-    path = Path(path)
-    if path.suffix == ".npy":
-        return np.load(path)
-    if path.suffix == ".json":
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        return np.asarray(obj["data"], dtype=float).reshape(obj["shape"])
-    raise ValueError(f"unsupported tensor fixture suffix: {path.suffix}")
 
 
 # --- self-check suite ----------------------------------------------------------

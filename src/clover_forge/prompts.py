@@ -18,8 +18,6 @@ from importlib import resources
 
 from .errors import ParseError
 
-ROLES = ("system", "user", "assistant")
-
 
 @dataclass(frozen=True)
 class Message:
@@ -111,7 +109,7 @@ _LABEL_RE = re.compile(
 STRICT_PAIR_RANGE = (4, 5)
 
 
-def render_qa(pairs: list[QAPair]) -> str:
+def render_qa(pairs: list[QAPair] | tuple[QAPair, ...]) -> str:
     """Canonical 'Question:/Answer:' layout, one blank line between pairs."""
     blocks = [f"Question: {p.question}\nAnswer: {p.answer}" for p in pairs]
     return "\n\n".join(blocks) + "\n"
@@ -218,6 +216,6 @@ def lint_text(text: str) -> LintReport:
     return report
 
 
-def lint_qa(pairs: list[QAPair]) -> LintReport:
+def lint_qa(pairs: list[QAPair] | tuple[QAPair, ...]) -> LintReport:
     """Lint the canonical rendering of the pairs; spans index into that text."""
     return lint_text(render_qa(pairs))

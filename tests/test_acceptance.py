@@ -4,6 +4,7 @@ import functools
 import json
 import random
 import time
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from clover_forge.backends import CostRates, MockBackend, RetryPolicy
 from clover_forge.cli import main
 from clover_forge.corpus import Corpus, ImageTextRecord, merge_and_filter
-from clover_forge.fewshot import ingest_patches, count_patches, make_kshot, wsi_classes
+from clover_forge.fewshot import ingest_patches, make_kshot, wsi_classes
 from clover_forge.generate import (
     estimate_run_cost,
     generate_instructions,
@@ -148,12 +149,14 @@ def test_criterion_3_parser_oracle():
 
 @criterion(4, "clinical counts from synthetic manifest")
 def test_criterion_4_clinical_counts(clinical_manifest):
-    counts = count_patches(ingest_patches(clinical_manifest))
-    assert counts["total"] == 7112
-    assert counts["stomach/tumor"] == 1136
-    assert counts["stomach/non_tumor"] == 2079
-    assert counts["intestine/tumor"] == 1846
-    assert counts["intestine/non_tumor"] == 2051
+    records = ingest_patches(clinical_manifest)
+    assert len(records) == 7112
+    assert Counter((r.organ, r.label) for r in records) == {
+        ("stomach", "tumor"): 1136,
+        ("stomach", "non_tumor"): 2079,
+        ("intestine", "tumor"): 1846,
+        ("intestine", "non_tumor"): 2051,
+    }
 
 
 def _synthetic_dataset(kind, n, offset=0):

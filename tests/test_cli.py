@@ -6,6 +6,7 @@ import pytest
 
 from clover_forge import fewshot
 from clover_forge.cli import main
+from clover_forge.instructions import instruction_digest
 from clover_forge.prompts import build_prompt, envelope_digest
 
 DATA = Path(__file__).parent / "data"
@@ -330,14 +331,22 @@ class TestConfig:
 
 CAPTION = " ".join(f"w{j}" for j in range(30))
 
+
+def _instruction(n=9, kind="template", pairs=(("Describe the image.", CAPTION),),
+                 instruction_id=None):
+    """A template-bank instruction row; its id is the digest of its content by default."""
+    return {
+        "instruction_id": instruction_id
+        or instruction_digest(f"img{n}", kind, [q for q, _ in pairs]),
+        "image_id": f"img{n}", "kind": kind,
+        "turns": [{"question": q, "answer": a} for q, a in pairs],
+        "provenance": {"method": "template-bank"},
+    }
+
+
 # Each JSONL input kind: a valid row for line n, and a key such a row cannot lack.
 JSONL_ROWS = {
-    "instructions": (
-        lambda n: {"instruction_id": f"i{n}", "image_id": f"img{n}", "kind": "template",
-                   "turns": [{"question": "Describe the image.", "answer": CAPTION}],
-                   "provenance": {"method": "template-bank"}},
-        "turns",
-    ),
+    "instructions": (_instruction, "turns"),
     "examples": (
         lambda n: {"example_id": f"e{n}", "question": "q", "reference": "yes",
                    "prediction": "yes", "qtype": "closed"},
@@ -463,3 +472,57 @@ def test_bad_input_value_is_an_error_not_a_traceback(tmp_path, pinned_config, ca
     assert code == 1
     assert err.startswith(expected.format(**paths))
     assert "Traceback" not in err
+
+
+# Instruction rows that parse as JSON but break one content rule, each with a
+# fragment of the error it must give. A row carries the id of its own content,
+# so only that rule catches it, except where the stale id is the point.
+BAD_INSTRUCTIONS = {
+    "empty-answer": (_instruction(pairs=[("Describe the image.", "")]), "empty text in turn 1"),
+    "whitespace-question": (_instruction(pairs=[(" \t", CAPTION)]), "empty text in turn 1"),
+    "question-edited-id-stale": (
+        _instruction(pairs=[("Describe the slide.", CAPTION)],
+                     instruction_id=_instruction()["instruction_id"]),
+        "does not match its content",
+    ),
+    "no-turns": (_instruction(pairs=[]), "has no turns"),
+    "answer-not-a-string": (_instruction(pairs=[("Describe the image.", 7)]), "non-string text"),
+    "template-with-four-turns": (
+        _instruction(pairs=[(f"Question {i}?", CAPTION) for i in range(4)]), "exactly one turn"
+    ),
+    "kind-changed": (
+        {**_instruction(), "kind": "generation"}, "does not match its content"
+    ),
+}
+
+# Every subcommand that reads an instruction dataset, writing under {out}.
+DATASET_COMMANDS = {
+    "lint": ["lint", "--instructions", "{bad}", "--out", "{out}/report.json"],
+    "sample-scale": ["sample-scale", "--dataset", "{bad}", "--size", "2",
+                     "--out", "{out}/sampled.jsonl"],
+    "split-subsets": ["split-subsets", "--dataset", "{bad}", "--k", "2", "--out-dir", "{out}"],
+    "assemble": ["assemble", "--gen", "{good}", "--tmpl", "{bad}", "--out", "{out}/hybrid.jsonl"],
+}
+
+
+@pytest.mark.parametrize("row", sorted(BAD_INSTRUCTIONS))
+@pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+def test_invalid_instruction_row_is_rejected_on_read(
+    tmp_path, pinned_config, capsys, command, row
+):
+    bad_row, message = BAD_INSTRUCTIONS[row]
+    good_rows = "".join(json.dumps(_instruction(n)) + "\n" for n in (1, 2))
+    good = tmp_path / "good.jsonl"
+    good.write_text(good_rows)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(good_rows + "\n" + json.dumps(bad_row) + "\n")
+    paths = {"bad": bad, "good": good, "out": tmp_path / "out"}
+    code = main(["--config", pinned_config,
+                 *(a.format(**paths) for a in DATASET_COMMANDS[command])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line 4: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not paths["out"].exists()
+    assert not list(tmp_path.rglob("*.tmp"))

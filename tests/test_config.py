@@ -152,3 +152,32 @@ def test_min_words_flag_below_one_is_an_error(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: config key [corpus] min_words must be >= 1")
     assert not out.exists()
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    path = write_config(tmp_path, "[backend]\nendpoint = http://x/a%20b\n")
+    assert load_config(path).endpoint == "http://x/a%20b"
+    assert main(["--config", path, *COST_RATIO]) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["seed = 3\n", "[core]\nseed = 1\n[core]\nseed = 2\n", "[core]\nseed\n"],
+    ids=["no-section-header", "duplicate-section", "line-without-value"],
+)
+def test_malformed_file_is_an_error_naming_the_file(tmp_path, capsys, text):
+    path = write_config(tmp_path, text)
+    code = main(["--config", path, *COST_RATIO])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: config file {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["gen-qa", "--dry-run"], ["cost-estimate"]])
+def test_unparsable_budget_flag_is_a_usage_error(capsys, argv):
+    assert main([*argv, "--budget", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: clover-forge ")
+    assert err.endswith("argument --budget: invalid decimal value: 'abc'\n")
+    assert "Traceback" not in err

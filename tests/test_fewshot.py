@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -8,14 +9,13 @@ from clover_forge.fewshot import (
     VQA_ANSWER_NEGATIVE,
     VQA_ANSWER_POSITIVE,
     VQA_QUESTION,
-    count_patches,
     ingest_patches,
     make_kshot,
-    read_wsi_list,
     to_vqa,
     write_split,
     wsi_classes,
 )
+from clover_forge.jsonio import read_line_list
 from clover_forge.metrics import closed_accuracy, evaluate
 
 
@@ -43,19 +43,19 @@ def small_manifest(tmp_path):
 
 class TestIngest:
     def test_clinical_totals(self, clinical_manifest):
-        counts = count_patches(ingest_patches(clinical_manifest))
-        assert counts["total"] == 7112
-        assert counts["stomach/tumor"] == 1136
-        assert counts["stomach/non_tumor"] == 2079
-        assert counts["intestine/tumor"] == 1846
-        assert counts["intestine/non_tumor"] == 2051
+        records = ingest_patches(clinical_manifest)
+        assert len(records) == 7112
+        assert Counter((r.organ, r.label) for r in records) == {
+            ("stomach", "tumor"): 1136,
+            ("stomach", "non_tumor"): 2079,
+            ("intestine", "tumor"): 1846,
+            ("intestine", "non_tumor"): 2051,
+        }
 
     def test_empty_manifest(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("patch_id,wsi_id,organ,label,patch_ref\n")
-        records = ingest_patches(path)
-        assert records == []
-        assert count_patches(records)["total"] == 0
+        assert ingest_patches(path) == []
 
     def test_unknown_label_names_line(self, tmp_path):
         path = write_manifest(
@@ -191,4 +191,4 @@ class TestToVqa:
 def test_read_wsi_list(tmp_path):
     path = tmp_path / "test_wsis.txt"
     path.write_text("# fixed test slides\ns_t4\ns_n4\n\n")
-    assert read_wsi_list(path) == ["s_t4", "s_n4"]
+    assert read_line_list(path) == ["s_t4", "s_n4"]

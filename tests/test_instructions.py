@@ -1,11 +1,16 @@
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from clover_forge.errors import IntegrityError, ManifestError
 from clover_forge.instructions import (
+    KINDS,
     Instruction,
     Provenance,
-    Turn,
     assemble_hybrid,
     instruction_digest,
     make_dataset,
@@ -146,6 +151,11 @@ class TestSampleScale:
         assert child.manifest["sources"] == [dataset_digest(ds)]
 
 
+# Turn text that is not blank; the default alphabet holds every code point but
+# the surrogates, so JSON escapes, line separators and astral characters appear.
+_text = st.text(min_size=1, max_size=12).filter(str.strip)
+
+
 class TestSerialization:
     def test_roundtrip_field_by_field(self, tmp_path):
         ds = assemble_hybrid(dataset(4), dataset(3, tmpl_item, offset=50))
@@ -173,6 +183,44 @@ class TestSerialization:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ManifestError, match="line 2: unknown instruction kind 'bogus'"):
             read_dataset(path)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(max_size=12),
+                st.sampled_from(KINDS),
+                st.lists(st.tuples(_text, _text), min_size=1, max_size=4),
+                st.builds(
+                    Provenance,
+                    method=st.text(max_size=8),
+                    model=st.none() | st.text(max_size=8),
+                    prompt_hash=st.none() | st.text(max_size=8),
+                    created_at=st.text(max_size=8),
+                ),
+            ),
+            max_size=6,
+            unique_by=lambda args: args[0],
+        )
+    )
+    def test_read_of_write_is_identity_and_rewrite_is_byte_identical(self, rows):
+        items = [
+            make_instruction(image_id, kind, pairs[:1] if kind == "template" else pairs, prov)
+            for image_id, kind, pairs, prov in rows
+        ]
+        for it in items:  # the id format: sha256 over json.dumps, non-ASCII kept
+            payload = json.dumps([it.image_id, it.kind, [t.question for t in it.turns]],
+                                 ensure_ascii=False)
+            assert it.instruction_id == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        ds = make_dataset(items, seed=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.jsonl"
+            sidecar = Path(tmp) / "ds.jsonl.manifest.json"
+            write_dataset(ds, path)
+            written = path.read_bytes(), sidecar.read_bytes()
+            back = read_dataset(path)
+            assert back == ds and back.manifest == ds.manifest
+            write_dataset(back, path)
+            assert (path.read_bytes(), sidecar.read_bytes()) == written
 
     def test_dataset_manifest_counts_match_items(self):
         ds = dataset(5)

@@ -17,11 +17,9 @@ from clover_forge.losses import (
     itg_nll,
     itm_loss,
     itm_probs_grad,
-    read_tensor,
     realized_nll,
     realized_nll_grad,
     run_kernel_check,
-    write_tensor,
 )
 
 
@@ -238,18 +236,6 @@ class TestGradCheck:
 
 
 class TestFixturesAndSuite:
-    def test_tensor_roundtrip_json_and_npy(self, tmp_path):
-        rng = np.random.default_rng(7)
-        arr = rng.standard_normal((3, 4))
-        for name in ("t.json", "t.npy"):
-            path = tmp_path / name
-            write_tensor(path, arr)
-            assert np.allclose(read_tensor(path), arr)
-
-    def test_unknown_suffix_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="suffix"):
-            write_tensor(tmp_path / "t.bin", np.zeros(2))
-
     def test_kernel_check_passes(self):
         report = run_kernel_check(seed=0, identity_cases=200)
         assert report["passed"], report
