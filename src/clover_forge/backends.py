@@ -84,6 +84,7 @@ class MockBackend:
 
     Completion text is capped at max_tokens worth of characters, matching how a
     live endpoint truncates, which keeps cost reservations true upper bounds.
+    It reports no usage, so receipts carry the ceil(chars/4) estimate.
     """
 
     def __init__(self, fixture_dir: str | Path):
@@ -98,13 +99,7 @@ class MockBackend:
         if not path.exists():
             raise BackendError(f"no fixture for prompt digest {digest} in {self.fixture_dir}")
         text = path.read_text(encoding="utf-8")
-        if max_tokens > 0:
-            text = text[: max_tokens * 4]
-        return BackendResponse(
-            text=text,
-            prompt_tokens=estimate_prompt_tokens(envelope),
-            completion_tokens=estimate_tokens(text),
-        )
+        return BackendResponse(text[: max_tokens * 4])
 
 
 class LiveBackend:
@@ -125,9 +120,8 @@ class LiveBackend:
         body = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in envelope.messages],
+            "max_tokens": max_tokens,
         }
-        if max_tokens > 0:
-            body["max_tokens"] = max_tokens
         request = urllib.request.Request(
             self.endpoint,
             data=json.dumps(body).encode("utf-8"),

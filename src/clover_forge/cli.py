@@ -31,10 +31,17 @@ def _created_at(cfg: config_mod.Config) -> str:
     return cfg.created_at or _now_iso()
 
 
+def _fewshot_pair(row: dict) -> tuple[str, str]:
+    for key in ("user", "assistant"):
+        if not isinstance(row[key], str):
+            raise ValueError(f"{key} must be a string")
+    return row["user"], row["assistant"]
+
+
 def _read_fewshot(path: str | None) -> list[tuple[str, str]]:
     if not path:
         return []
-    return list(read_records(path, lambda row: (row["user"], row["assistant"])))
+    return list(read_records(path, _fewshot_pair))
 
 
 def _build_backend(cfg: config_mod.Config):
@@ -206,7 +213,7 @@ def cmd_eval_vqa(args, cfg) -> int:
 
 def cmd_cost_ratio(args, cfg) -> int:
     ratio = metrics.cost_ratio(args.metric, args.params)
-    print(f"{ratio.ratio:.2f}")
+    print(f"{ratio:.2f}")
     return 0
 
 

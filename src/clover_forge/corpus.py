@@ -34,7 +34,6 @@ class ImageTextRecord:
 @dataclass(frozen=True)
 class Corpus:
     records: tuple[ImageTextRecord, ...] = ()
-    seed: int = 0
     meta: dict = field(default_factory=dict, compare=False)
 
     def __len__(self) -> int:
@@ -140,7 +139,7 @@ def merge_and_filter(corpus: Corpus, min_words: int = DEFAULT_MIN_WORDS) -> Corp
         merged = merge_captions(record)
         if word_count(merged) >= min_words:
             kept.append(replace(record, merged_caption=merged))
-    return Corpus(records=tuple(kept), seed=corpus.seed, meta=dict(corpus.meta))
+    return Corpus(records=tuple(kept), meta=dict(corpus.meta))
 
 
 def sample(corpus: Corpus, size: int, seed: int) -> Corpus:
@@ -151,7 +150,6 @@ def sample(corpus: Corpus, size: int, seed: int) -> Corpus:
     picked = sample_indices(n, size, seed)
     return Corpus(
         records=tuple(corpus.records[i] for i in picked),
-        seed=seed,
         meta=dict(corpus.meta),
     )
 

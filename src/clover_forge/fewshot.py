@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import IntegrityError, ManifestError
@@ -19,7 +19,6 @@ from .sampling import derive_seed, draw
 
 ORGANS = ("stomach", "intestine")
 LABELS = ("tumor", "non_tumor")
-DEFAULT_PATCH_SIZE = (512, 512)
 
 VQA_QUESTION = "Is this pathological image showing a negative or positive result?"
 VQA_ANSWER_NEGATIVE = "this is a negative pathological image"
@@ -34,7 +33,6 @@ class PatchRecord:
     organ: str
     label: str
     patch_ref: str = ""
-    size_px: tuple[int, int] = DEFAULT_PATCH_SIZE
 
 
 @dataclass(frozen=True)
@@ -174,16 +172,6 @@ def make_kshot(
     return splits
 
 
-def _patch_obj(p: PatchRecord) -> dict:
-    return {
-        "patch_id": p.patch_id,
-        "wsi_id": p.wsi_id,
-        "organ": p.organ,
-        "label": p.label,
-        "patch_ref": p.patch_ref,
-    }
-
-
 def write_split(split: FewShotSplit, path: str | Path) -> None:
     obj = {
         "k": split.k,
@@ -192,8 +180,8 @@ def write_split(split: FewShotSplit, path: str | Path) -> None:
         "seed": split.seed,
         "train_wsis": list(split.train_wsis),
         "test_wsis": list(split.test_wsis),
-        "train_patches": [_patch_obj(p) for p in split.train_patches],
-        "test_patches": [_patch_obj(p) for p in split.test_patches],
+        "train_patches": [asdict(p) for p in split.train_patches],
+        "test_patches": [asdict(p) for p in split.test_patches],
     }
     write_json(path, obj, ensure_ascii=False)
 

@@ -82,12 +82,11 @@ def estimate_run_cost(
     rates: CostRates,
     fewshot: list[tuple[str, str]] = (),
     max_completion_tokens: int = DEFAULT_MAX_COMPLETION_TOKENS,
-    system_text: str | None = None,
 ) -> Decimal:
     """Projected worst-case spend for a full run; no backend is contacted."""
     total = Decimal(0)
     for record in corpus.records:
-        envelope = build_prompt(record.merged_caption, fewshot, system_text)
+        envelope = build_prompt(record.merged_caption, fewshot)
         total += request_reservation(envelope, rates, max_completion_tokens)
     return total
 
@@ -116,10 +115,8 @@ def _receipt_row(receipt: GenerationReceipt) -> str:
     return json.dumps(row, ensure_ascii=False, separators=(",", ":"))
 
 
-def _open_journal(stack: ExitStack, path: str | Path | None):
-    """Open an append-only run log, closed when `stack` exits; None for no path."""
-    if path is None:
-        return None
+def _open_journal(stack: ExitStack, path: str | Path):
+    """Open an append-only run log, closed when `stack` exits."""
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         return stack.enter_context(open(path, "a", encoding="utf-8"))
@@ -135,12 +132,11 @@ def generate_instructions(
     strict: bool = False,
     *,
     rates: CostRates,
-    policy: RetryPolicy | None = None,
-    system_text: str | None = None,
+    policy: RetryPolicy,
     max_completion_tokens: int = DEFAULT_MAX_COMPLETION_TOKENS,
     max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-    checkpoint_path: str | Path | None = None,
-    skip_log_path: str | Path | None = None,
+    checkpoint_path: str | Path,
+    skip_log_path: str | Path,
     created_at: str = "",
 ) -> GenerationRun:
     """Produce one generation-kind instruction per successfully processed record.
@@ -158,11 +154,8 @@ def generate_instructions(
         raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
     if max_completion_tokens < 1:
         raise ValueError(f"max_completion_tokens must be >= 1, got {max_completion_tokens}")
-    policy = policy or RetryPolicy()
 
-    done, prior_receipts = (set(), [])
-    if checkpoint_path is not None:
-        done, prior_receipts = load_checkpoint(checkpoint_path)
+    done, prior_receipts = load_checkpoint(checkpoint_path)
     prior_spend = sum((r.estimated_cost_usd for r in prior_receipts), start=Decimal(0))
     ledger = BudgetLedger(budget_usd=budget_usd, reserved=prior_spend, spent=prior_spend)
 
@@ -180,19 +173,18 @@ def generate_instructions(
 
         def log_skip(image_id: str, reason: str) -> None:
             run.skipped.append((image_id, reason))
-            if skip_fh is not None:
-                skip_fh.write(
-                    json.dumps({"image_id": image_id, "reason": reason}, ensure_ascii=False)
-                    + "\n"
-                )
-                skip_fh.flush()
+            skip_fh.write(
+                json.dumps({"image_id": image_id, "reason": reason}, ensure_ascii=False)
+                + "\n"
+            )
+            skip_fh.flush()
 
         while True:
             while not run.halted and len(window) < WINDOW_PER_WORKER * max_concurrency:
                 record = next(pending, None)
                 if record is None:
                     break
-                envelope = build_prompt(record.merged_caption, fewshot, system_text)
+                envelope = build_prompt(record.merged_caption, fewshot)
                 reservation = request_reservation(envelope, rates, max_completion_tokens)
                 try:
                     ledger.admit(reservation)
@@ -215,14 +207,13 @@ def generate_instructions(
                 continue
             ledger.record(receipt.estimated_cost_usd)
             run.receipts.append(receipt)
-            if checkpoint_fh is not None:
-                try:
-                    checkpoint_fh.write(_receipt_row(receipt) + "\n")
-                    checkpoint_fh.flush()
-                except OSError as exc:
-                    err = CloverError(f"checkpoint write failed: {exc}")
-                    err.partial = run
-                    raise err from exc
+            try:
+                checkpoint_fh.write(_receipt_row(receipt) + "\n")
+                checkpoint_fh.flush()
+            except OSError as exc:
+                err = CloverError(f"checkpoint write failed: {exc}")
+                err.partial = run
+                raise err from exc
             if receipt.estimated_cost_usd > reservation and not overrun:
                 overrun = run.halted = True
                 run.halt_reason = (

@@ -16,7 +16,7 @@ from . import __version__
 from .errors import IntegrityError, ManifestError
 from .jsonio import read_records, write_json, write_jsonl
 from .prompts import QAPair
-from .sampling import sample_indices, shuffle_indices
+from .sampling import sample_indices
 
 KINDS = ("generation", "template")
 
@@ -56,6 +56,10 @@ def make_instruction(
         raise ValueError(f"unknown instruction kind '{kind}'")
     if not isinstance(image_id, str):
         raise ValueError("image_id must be a string")
+    if not isinstance(provenance.method, str) or not isinstance(provenance.created_at, str):
+        raise ValueError("provenance method and created_at must be strings")
+    if not all(v is None or isinstance(v, str) for v in (provenance.model, provenance.prompt_hash)):
+        raise ValueError("provenance model and prompt_hash must be strings or null")
     norm = tuple([t if isinstance(t, QAPair) else QAPair(*t) for t in turns])
     if not norm:
         raise ValueError(f"instruction for image {image_id} has no turns")
@@ -100,14 +104,11 @@ def make_dataset(
     items: list[Instruction], *, seed: int | None = None, sources: list[str] | None = None
 ) -> InstructionDataset:
     """Wrap items into a dataset, checking id uniqueness and filling the manifest."""
-    seen: dict[str, Instruction] = {}
+    seen: set[str] = set()
     for it in items:
-        prior = seen.get(it.instruction_id)
-        if prior is not None and prior != it:
-            raise IntegrityError(
-                f"instruction id collision with differing content: {it.instruction_id}"
-            )
-        seen[it.instruction_id] = it
+        if it.instruction_id in seen:
+            raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
+        seen.add(it.instruction_id)
     ds = InstructionDataset(items=tuple(items))
     manifest = {
         "counts": ds.counts_by_kind(),
@@ -146,7 +147,7 @@ def split_subsets(
         raise ValueError(f"cannot split {n} items into {k} subsets")
     if k == 1:
         return [make_dataset(list(ds.items), seed=seed, sources=[dataset_digest(ds)])]
-    order = shuffle_indices(n, seed)
+    order = sample_indices(n, n, seed)
     subsets = []
     for i in range(k):
         members = [ds.items[j] for j in order[i::k]]
@@ -183,7 +184,9 @@ def _instruction_to_obj(it: Instruction) -> dict:
 
 
 def _instruction_from_obj(obj: dict) -> Instruction:
-    prov = obj.get("provenance") or {}
+    prov = obj.get("provenance", {})
+    if not isinstance(prov, dict):
+        raise ValueError("provenance must be an object")
     it = make_instruction(
         obj["image_id"],
         obj["kind"],

@@ -55,18 +55,17 @@ def read_line_list(path: str | Path) -> list[str]:
 
 
 @contextmanager
-def atomic_open(path: str | Path, mode: str = "w"):
-    """Open `<path>.tmp` for writing and rename it over `path` on success.
+def atomic_open(path: str | Path):
+    """Open `<path>.tmp` for UTF-8 text writing and rename it over `path` on success.
 
     On any failure inside the block the temp file is deleted and the old
-    `path`, if there was one, keeps its bytes. Text modes are UTF-8.
+    `path`, if there was one, keeps its bytes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    encoding = None if "b" in mode else "utf-8"
     try:
-        with open(tmp, mode, encoding=encoding) as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

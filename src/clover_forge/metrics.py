@@ -49,21 +49,9 @@ class MetricsReport:
     n_closed: int = 0
 
 
-@dataclass(frozen=True)
-class CostRatio:
-    metric_pct: float
-    trainable_params: int
-    ratio: float
-
-
 def normalize(text: str) -> list[str]:
     """Lowercase and split on maximal non-alphanumeric runs."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def open_recall(ref: str, pred: str) -> float:
-    """Fraction of reference tokens (with multiplicity) present in the prediction."""
-    return prf(ref, pred)[0]
 
 
 def prf(ref: str, pred: str) -> tuple[float, float, float]:
@@ -99,18 +87,6 @@ def _closed_correct(ex: EvalExample, polarity: tuple[str, str] = DEFAULT_POLARIT
     return want in tokens and other not in tokens
 
 
-def closed_accuracy(
-    examples: list[EvalExample], polarity: tuple[str, str] = DEFAULT_POLARITY
-) -> float:
-    """Percentage of closed examples answered with the right polarity."""
-    if not examples:
-        raise ValueError("closed_accuracy needs at least one example")
-    for ex in examples:
-        if ex.qtype != "closed":
-            raise ValueError(f"example {ex.example_id}: closed_accuracy got qtype open")
-    return 100.0 * sum(_closed_correct(ex, polarity) for ex in examples) / len(examples)
-
-
 def length_stats(examples: list[EvalExample]) -> tuple[float, float]:
     """Mean whitespace word counts of references and predictions."""
     if not examples:
@@ -120,14 +96,13 @@ def length_stats(examples: list[EvalExample]) -> tuple[float, float]:
     return ref_mean, pred_mean
 
 
-def cost_ratio(metric_pct: float, trainable_params: int) -> CostRatio:
+def cost_ratio(metric_pct: float, trainable_params: int) -> float:
     """Metric percentage divided by log10 of the parameter count in millions."""
     if trainable_params <= 10**6:
         raise ValueError(
             f"trainable_params must exceed 1e6, got {trainable_params}"
         )
-    ratio = metric_pct / math.log10(trainable_params / 10**6)
-    return CostRatio(metric_pct, trainable_params, ratio)
+    return metric_pct / math.log10(trainable_params / 10**6)
 
 
 @dataclass

@@ -65,12 +65,11 @@ def default_system_text() -> str:
 def build_prompt(
     caption: str,
     fewshot: list[tuple[str, str]] = (),
-    system_text: str | None = None,
 ) -> PromptEnvelope:
     """Assemble the chat envelope for one caption. Pure: same inputs, same bytes."""
     if not caption.strip():
         raise ValueError("caption is empty")
-    messages = [Message("system", system_text if system_text is not None else default_system_text())]
+    messages = [Message("system", default_system_text())]
     for user_text, assistant_text in fewshot:
         messages.append(Message("user", user_text))
         messages.append(Message("assistant", assistant_text))

@@ -39,8 +39,3 @@ def sample_indices(n: int, size: int, seed: int) -> list[int]:
     if size > n:
         raise ValueError(f"cannot sample {size} items from a population of {n}")
     return draw(random.Random(seed), range(n), size)
-
-
-def shuffle_indices(n: int, seed: int) -> list[int]:
-    """Full deterministic permutation of range(n)."""
-    return sample_indices(n, n, seed)

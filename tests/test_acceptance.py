@@ -27,7 +27,7 @@ from clover_forge.instructions import (
     split_subsets,
 )
 from clover_forge.losses import run_kernel_check
-from clover_forge.metrics import EvalExample, closed_accuracy, cost_ratio, open_recall, prf
+from clover_forge.metrics import EvalExample, cost_ratio, evaluate, prf
 from clover_forge.prompts import QAPair, build_prompt, envelope_digest, parse_qa, render_qa
 
 DATA = Path(__file__).parent / "data"
@@ -83,9 +83,9 @@ SEVEN_B_CELLS = [
 def test_criterion_1_cost_ratio_reproduction():
     start = time.monotonic()
     for metric, params, printed in EXACT_RATIO_CELLS:
-        assert abs(round(cost_ratio(metric, params).ratio, 2) - printed) <= 0.01
+        assert abs(round(cost_ratio(metric, params), 2) - printed) <= 0.01
     for metric, printed in SEVEN_B_CELLS:
-        ratio = cost_ratio(metric, 7_000_000_000).ratio
+        ratio = cost_ratio(metric, 7_000_000_000)
         assert abs(ratio - printed) / printed <= 0.005
     assert time.monotonic() - start < 1.0
 
@@ -225,7 +225,7 @@ def test_criterion_7_metric_properties():
         ref = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
         pred = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
         extra = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 6)))
-        assert open_recall(ref, (pred + " " + extra).strip()) >= open_recall(ref, pred)
+        assert prf(ref, (pred + " " + extra).strip())[0] >= prf(ref, pred)[0]
 
     for i in range(500):
         want, other = ("yes", "no") if rng.random() < 0.5 else ("no", "yes")
@@ -239,7 +239,7 @@ def test_criterion_7_metric_properties():
         else:
             pred, expected = "uncertain", False
         example = EvalExample(str(i), "q?", want, pred, "closed")
-        assert (closed_accuracy([example]) == 100.0) is expected
+        assert (evaluate([example]).report.closed_accuracy_pct == 100.0) is expected
 
 
 STOMACH_TEST = [f"stomach_t{i:02d}" for i in (1, 2, 3)] + [

@@ -16,7 +16,7 @@ from clover_forge.backends import (
     estimate_tokens,
 )
 from clover_forge.errors import BackendError, ConfigError, TransientBackendError
-from clover_forge.prompts import build_prompt, envelope_digest
+from clover_forge.prompts import Message, PromptEnvelope, build_prompt, envelope_digest
 
 RATES = CostRates(Decimal("0.0015"), Decimal("0.002"))
 FAST = RetryPolicy(max_retries=3, backoff_base_s=0.0)
@@ -30,7 +30,12 @@ def test_token_estimate_is_ceil_chars_over_four():
 
 
 def test_prompt_estimate_sums_messages():
-    envelope = build_prompt("x" * 8, [("y" * 4, "z" * 5)], system_text="s" * 12)
+    envelope = PromptEnvelope((
+        Message("system", "s" * 12),
+        Message("user", "y" * 4),
+        Message("assistant", "z" * 5),
+        Message("user", "x" * 8),
+    ))
     assert estimate_prompt_tokens(envelope) == 3 + 1 + 2 + 2
 
 
@@ -44,10 +49,10 @@ class TestMockBackend:
     def test_fixture_returned_verbatim(self, tmp_path):
         envelope = build_prompt("caption text")
         (tmp_path / f"{envelope_digest(envelope)}.txt").write_text("fixture answer")
-        backend = MockBackend(tmp_path)
-        response = backend.complete(envelope, max_tokens=512)
-        assert response.text == "fixture answer"
-        assert response.completion_tokens == estimate_tokens("fixture answer")
+        text, receipt = complete(envelope, MockBackend(tmp_path), FAST, RATES, 512)
+        assert text == "fixture answer"
+        assert receipt.prompt_tokens == estimate_prompt_tokens(envelope)
+        assert receipt.completion_tokens == estimate_tokens("fixture answer")
 
     def test_missing_fixture_is_permanent_error(self, tmp_path):
         with pytest.raises(BackendError, match="no fixture"):
@@ -60,9 +65,9 @@ class TestMockBackend:
     def test_completion_capped_at_max_tokens(self, tmp_path):
         envelope = build_prompt("caption")
         (tmp_path / f"{envelope_digest(envelope)}.txt").write_text("a" * 100)
-        response = MockBackend(tmp_path).complete(envelope, max_tokens=5)
-        assert len(response.text) == 20
-        assert response.completion_tokens == 5
+        text, receipt = complete(envelope, MockBackend(tmp_path), FAST, RATES, 5)
+        assert len(text) == 20
+        assert receipt.completion_tokens == 5
 
 
 class _Flaky:

@@ -456,17 +456,33 @@ BAD_VALUES = {
         ["lint", "--instructions", "{bad}"],
         "error: {bad}.manifest.json: invalid JSON",
     ),
+    **{
+        f"fewshot-{key}-not-a-string-{command}": (
+            [JSONL_ROWS["fewshot"][0](1), {**JSONL_ROWS["fewshot"][0](2), key: value}],
+            None,
+            argv,
+            f"error: line 2: {key} must be a string",
+        )
+        for key, value in (("user", 5), ("assistant", ["x"]))
+        for command, argv in (
+            ("dry-run", ["gen-qa", "--dry-run", "--fewshot", "{bad}"]),
+            ("gen-qa", ["gen-qa", "--corpus", "{corpus}", "--fewshot", "{bad}", "--out", "{out}"]),
+            ("cost-estimate", ["cost-estimate", "--corpus", "{corpus}", "--fewshot", "{bad}"]),
+        )
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
-def test_bad_input_value_is_an_error_not_a_traceback(tmp_path, pinned_config, capsys, case):
+def test_bad_input_value_is_an_error_not_a_traceback(
+    tmp_path, pinned_config, corpus_file, capsys, case
+):
     rows, sidecar, argv, expected = BAD_VALUES[case]
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
     if sidecar is not None:
         (tmp_path / "bad.jsonl.manifest.json").write_text(sidecar)
-    paths = {"bad": bad, "out": tmp_path / "out.jsonl"}
+    paths = {"bad": bad, "corpus": corpus_file, "out": tmp_path / "out.jsonl"}
     code = main(["--config", pinned_config, *(a.format(**paths) for a in argv)])
     err = capsys.readouterr().err
     assert code == 1
@@ -492,6 +508,20 @@ BAD_INSTRUCTIONS = {
     ),
     "kind-changed": (
         {**_instruction(), "kind": "generation"}, "does not match its content"
+    ),
+    **{
+        f"provenance-{name}": (
+            {**_instruction(), "provenance": value}, "provenance must be an object"
+        )
+        for name, value in (("a-string", "x"), ("an-empty-list", []))
+    },
+    "provenance-values-not-strings": (
+        {**_instruction(), "provenance": {"model": 5, "created_at": 7}},
+        "provenance method and created_at must be strings",
+    ),
+    "provenance-model-not-a-string": (
+        {**_instruction(), "provenance": {"method": "template-bank", "model": 5}},
+        "provenance model and prompt_hash must be strings or null",
     ),
 }
 
@@ -526,3 +556,17 @@ def test_invalid_instruction_row_is_rejected_on_read(
     assert "Traceback" not in err
     assert not paths["out"].exists()
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["sample-scale", "split-subsets"])
+def test_repeated_instruction_row_is_an_error(tmp_path, pinned_config, capsys, command):
+    rows = [_instruction(n) for n in (1, 2, 1)]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    paths = {"bad": bad, "out": tmp_path / "out"}
+    code = main(["--config", pinned_config,
+                 *(a.format(**paths) for a in DATASET_COMMANDS[command])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: duplicate instruction id {rows[0]['instruction_id']}")
+    assert not paths["out"].exists()

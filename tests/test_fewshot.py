@@ -16,7 +16,7 @@ from clover_forge.fewshot import (
     wsi_classes,
 )
 from clover_forge.jsonio import read_line_list
-from clover_forge.metrics import closed_accuracy, evaluate
+from clover_forge.metrics import evaluate
 
 
 def write_manifest(path, rows):
@@ -183,7 +183,6 @@ class TestToVqa:
             dataclasses.replace(ex, prediction=ex.reference)
             for ex in to_vqa(ingest_patches(small_manifest))
         ]
-        assert closed_accuracy(examples, CLINICAL_POLARITY) == 100.0
         report = evaluate(examples, CLINICAL_POLARITY).report
         assert report.closed_accuracy_pct == 100.0
 

@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 from clover_forge import generate
-from clover_forge.backends import CostRates, MockBackend, RetryPolicy, estimate_tokens
+from clover_forge.backends import (
+    CostRates,
+    MockBackend,
+    RetryPolicy,
+    estimate_prompt_tokens,
+    estimate_tokens,
+)
 from clover_forge.corpus import Corpus, ImageTextRecord, merge_and_filter
 from clover_forge.errors import BudgetExceededError, CloverError
 from clover_forge.generate import (
@@ -310,7 +316,7 @@ class JitterBackend(MockBackend):
             self.finished.append(envelope.messages[-1].content)
         response = super().complete(envelope, max_tokens)
         return dataclasses.replace(
-            response, prompt_tokens=response.prompt_tokens * self.prompt_factor
+            response, prompt_tokens=estimate_prompt_tokens(envelope) * self.prompt_factor
         )
 
 

@@ -34,15 +34,15 @@ def _unserializable_row(path):
     write_jsonl(path, [{"a": 3}, {"a": object()}])
 
 
-def _binary_write_fails(path):
-    with atomic_open(path, "wb") as fh:
-        fh.write(b"\x93NUMPY partial")
+def _partial_write_fails(path):
+    with atomic_open(path) as fh:
+        fh.write("partial")
         raise OSError("disk full")
 
 
 @pytest.mark.parametrize(
     "failing_write, error",
-    [(_unserializable_row, TypeError), (_binary_write_fails, OSError)],
+    [(_unserializable_row, TypeError), (_partial_write_fails, OSError)],
 )
 def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path, failing_write, error):
     path = tmp_path / "out" / "rows.jsonl"

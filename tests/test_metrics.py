@@ -5,12 +5,10 @@ from hypothesis import given, strategies as st
 
 from clover_forge.metrics import (
     EvalExample,
-    closed_accuracy,
     cost_ratio,
     evaluate,
     length_stats,
     normalize,
-    open_recall,
     prf,
     reference_polarity,
 )
@@ -24,6 +22,14 @@ _words = st.lists(
 
 def ex(example_id, ref, pred, qtype="open"):
     return EvalExample(example_id, "q?", ref, pred, qtype)
+
+
+def recall(ref, pred):
+    return prf(ref, pred)[0]
+
+
+def closed_pct(examples, *polarity):
+    return evaluate(examples, *polarity).report.closed_accuracy_pct
 
 
 class TestNormalize:
@@ -44,27 +50,27 @@ class TestNormalize:
 
 class TestOpenRecall:
     def test_full_containment_is_one(self):
-        assert open_recall("arrows indicate", "the arrows clearly indicate cells") == 1.0
+        assert recall("arrows indicate", "the arrows clearly indicate cells") == 1.0
 
     def test_hand_counted_partial_overlap(self):
         ref = "the arrows indicate inflammatory infiltrates"
         pred = "arrows indicate inflammation"
-        assert open_recall(ref, pred) == pytest.approx(0.4)
+        assert recall(ref, pred) == pytest.approx(0.4)
 
     def test_empty_prediction_is_zero(self):
-        assert open_recall("anything here", "") == 0.0
+        assert recall("anything here", "") == 0.0
 
     def test_empty_reference_is_error(self):
         with pytest.raises(ValueError):
-            open_recall("!!!", "tokens")
+            recall("!!!", "tokens")
 
     def test_duplicates_count_with_multiplicity(self):
-        assert open_recall("cell cell", "cell") == pytest.approx(0.5)
+        assert recall("cell cell", "cell") == pytest.approx(0.5)
 
     @given(_words.filter(lambda w: w), _words, _words)
     def test_extending_prediction_never_decreases_recall(self, ref, pred, extra):
-        base = open_recall(" ".join(ref), " ".join(pred))
-        extended = open_recall(" ".join(ref), " ".join(pred + extra))
+        base = recall(" ".join(ref), " ".join(pred))
+        extended = recall(" ".join(ref), " ".join(pred + extra))
         assert extended >= base
 
 
@@ -95,34 +101,26 @@ class TestPrf:
 
 class TestClosedAccuracy:
     def test_normalized_containment_scores_correct(self):
-        assert closed_accuracy([ex("1", "yes", "Yes, it is.", "closed")]) == 100.0
+        assert closed_pct([ex("1", "yes", "Yes, it is.", "closed")]) == 100.0
 
     def test_both_polarities_scores_incorrect(self):
-        assert closed_accuracy([ex("1", "no", "yes and no", "closed")]) == 0.0
+        assert closed_pct([ex("1", "no", "yes and no", "closed")]) == 0.0
 
     def test_nine_of_ten(self):
         examples = [ex(str(i), "yes", "yes", "closed") for i in range(9)]
         examples.append(ex("9", "yes", "no", "closed"))
-        assert closed_accuracy(examples) == pytest.approx(90.0)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            closed_accuracy([])
-
-    def test_open_example_rejected(self):
-        with pytest.raises(ValueError, match="qtype"):
-            closed_accuracy([ex("1", "yes", "yes", "open")])
+        assert closed_pct(examples) == pytest.approx(90.0)
 
     def test_generalized_polarity_pair(self):
         polarity = ("positive", "negative")
         good = ex("1", "this is a negative pathological image",
                   "this is a negative pathological image", "closed")
-        assert closed_accuracy([good], polarity) == 100.0
+        assert closed_pct([good], polarity) == 100.0
         assert reference_polarity(good.reference, polarity) == "negative"
 
     def test_reference_without_polarity_token_rejected(self):
         with pytest.raises(ValueError, match="exactly one"):
-            closed_accuracy([ex("1", "maybe", "yes", "closed")])
+            closed_pct([ex("1", "maybe", "yes", "closed")])
 
 
 class TestLengthAndRatio:
@@ -148,11 +146,10 @@ class TestLengthAndRatio:
         ],
     )
     def test_cost_ratio_reproduces_published_cells(self, metric, params, expected):
-        assert round(cost_ratio(metric, params).ratio, 2) == expected
+        assert round(cost_ratio(metric, params), 2) == expected
 
     def test_ratio_recomputable_from_fields(self):
-        r = cost_ratio(54.33, 187_000_000)
-        assert r.ratio == r.metric_pct / math.log10(r.trainable_params / 10**6)
+        assert cost_ratio(54.33, 187_000_000) == 54.33 / math.log10(187_000_000 / 10**6)
 
     def test_small_param_counts_rejected(self):
         with pytest.raises(ValueError):
