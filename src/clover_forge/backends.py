@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -117,6 +115,9 @@ class LiveBackend:
         self.backend_id = f"live:{endpoint}#{model}"
 
     def complete(self, envelope: PromptEnvelope, max_tokens: int) -> BackendResponse:
+        import urllib.error
+        import urllib.request  # loaded by the first live call, not by every subcommand
+
         body = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in envelope.messages],

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import backends, config as config_mod, corpus as corpus_mod, fewshot, generate
 from . import instructions as instr_mod
-from . import losses, metrics, prompts, templates
+from . import metrics, prompts, templates
 from .errors import CloverError
 from .jsonio import read_line_list, read_records, write_json, write_jsonl
 
@@ -131,6 +131,8 @@ def cmd_gen_qa(args, cfg) -> int:
     )
     ds = instr_mod.make_dataset(run.instructions, seed=cfg.seed)
     instr_mod.write_dataset(ds, out)
+    for warning in run.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     spent = sum((r.estimated_cost_usd for r in run.receipts), start=Decimal(0))
     halted = f", halted: {run.halt_reason}" if run.halted else ""
     print(
@@ -246,6 +248,8 @@ def cmd_to_vqa(args, cfg) -> int:
 
 
 def cmd_kernel_check(args, cfg) -> int:
+    from . import losses  # numpy loads here, not in every subcommand
+
     report = losses.run_kernel_check(seed=cfg.seed, identity_cases=args.cases)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"

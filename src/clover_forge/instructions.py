@@ -215,7 +215,16 @@ def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
 
 def read_dataset(path: str | Path) -> InstructionDataset:
     path = Path(path)
-    items = list(read_records(path, _instruction_from_obj))
+    seen: set[str] = set()
+
+    def unique_instruction(obj: dict) -> Instruction:
+        it = _instruction_from_obj(obj)
+        if it.instruction_id in seen:
+            raise ValueError(f"duplicate instruction id {it.instruction_id}")
+        seen.add(it.instruction_id)
+        return it
+
+    items = list(read_records(path, unique_instruction))
     sidecar = path.with_name(path.name + ".manifest.json")
     ds = make_dataset(items)
     if sidecar.exists():

@@ -41,6 +41,17 @@ class PromptEnvelope:
                 "few-shot messages must be alternating user/assistant pairs"
             )
 
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 over the canonical compact JSON of the messages; names mock
+        fixtures. Computed on first use and kept, so a record pays for it once."""
+        payload = json.dumps(
+            [{"role": m.role, "content": m.content} for m in self.messages],
+            ensure_ascii=False,
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
 
 @dataclass(frozen=True)
 class QAPair:
@@ -83,13 +94,8 @@ def envelope_to_json(envelope: PromptEnvelope) -> str:
 
 
 def envelope_digest(envelope: PromptEnvelope) -> str:
-    """sha256 over the canonical compact JSON of the messages; names mock fixtures."""
-    payload = json.dumps(
-        [{"role": m.role, "content": m.content} for m in envelope.messages],
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """The envelope's sha256 digest (see `PromptEnvelope.digest`)."""
+    return envelope.digest
 
 
 # --- QA transcript grammar -------------------------------------------------

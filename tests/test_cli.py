@@ -55,12 +55,12 @@ def corpus_file(tmp_path, pinned_config):
     return out
 
 
-def stage_fixtures(fixture_dir, corpus_path):
+def stage_fixtures(fixture_dir, corpus_path, completion=COMPLETION):
     fixture_dir.mkdir(exist_ok=True)
     for line in corpus_path.read_text().splitlines():
         row = json.loads(line)
         digest = envelope_digest(build_prompt(row["merged_caption"]))
-        (fixture_dir / f"{digest}.txt").write_text(COMPLETION)
+        (fixture_dir / f"{digest}.txt").write_text(completion)
 
 
 class TestExitCodes:
@@ -178,6 +178,23 @@ class TestPipelineFlow:
                 == 0
             )
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_lenient_parse_warnings_go_to_stderr(
+        self, tmp_path, pinned_config, corpus_file, capsys
+    ):
+        fixtures = tmp_path / "fx"
+        stage_fixtures(fixtures, corpus_file, COMPLETION.split("\n\n")[0] + "\n")
+        gen = tmp_path / "gen.jsonl"
+        code = main(["--config", pinned_config, "gen-qa", "--lenient", "--corpus",
+                     str(corpus_file), "--fixtures", str(fixtures), "--out", str(gen)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("generated 6 instructions, skipped 0,")
+        assert captured.out.count("\n") == 1
+        assert captured.err.splitlines() == [
+            f"warning: img{i:02d}: expected 4-5 QA pairs, found 1" for i in range(6)
+        ]
+        assert len(gen.read_text().splitlines()) == 6
 
     def test_lint_subcommand_reports(self, tmp_path, pinned_config, corpus_file, capsys):
         tmpl = tmp_path / "tmpl.jsonl"
@@ -568,5 +585,5 @@ def test_repeated_instruction_row_is_an_error(tmp_path, pinned_config, capsys, c
                  *(a.format(**paths) for a in DATASET_COMMANDS[command])])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"error: duplicate instruction id {rows[0]['instruction_id']}")
+    assert err.startswith(f"error: line 3: duplicate instruction id {rows[0]['instruction_id']}")
     assert not paths["out"].exists()

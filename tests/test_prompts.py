@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -59,6 +61,22 @@ class TestBuildPrompt:
         b = build_prompt("cap", [("u", "a")])
         assert a == b
         assert envelope_digest(a) == envelope_digest(b)
+
+    def test_digest_is_sha256_of_compact_messages(self):
+        envelope = build_prompt("cap", [("u", "a")])
+        payload = json.dumps(
+            [{"role": m.role, "content": m.content} for m in envelope.messages],
+            ensure_ascii=False,
+            separators=(",", ":"),
+        )
+        assert envelope_digest(envelope) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def test_digest_computed_on_first_use_then_kept(self):
+        envelope = build_prompt("cap")
+        assert "digest" not in vars(envelope)
+        first = envelope_digest(envelope)
+        assert vars(envelope)["digest"] == first
+        assert envelope_digest(envelope) is first
 
     def test_empty_caption_rejected(self):
         with pytest.raises(ValueError):
