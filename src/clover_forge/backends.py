@@ -94,9 +94,14 @@ class MockBackend:
     def complete(self, envelope: PromptEnvelope, max_tokens: int) -> BackendResponse:
         digest = envelope_digest(envelope)
         path = self.fixture_dir / f"{digest}.txt"
-        if not path.exists():
-            raise BackendError(f"no fixture for prompt digest {digest} in {self.fixture_dir}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError as exc:
+            raise BackendError(
+                f"no fixture for prompt digest {digest} in {self.fixture_dir}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise BackendError(f"fixture {path} is not UTF-8") from exc
         return BackendResponse(text[: max_tokens * 4])
 
 
@@ -104,8 +109,6 @@ class LiveBackend:
     """POSTs to an openai-chat endpoint; credential from CLOVER_API_KEY."""
 
     def __init__(self, endpoint: str, model: str):
-        if not endpoint:
-            raise ConfigError("live backend requires a non-empty endpoint")
         api_key = os.environ.get(API_KEY_ENV, "")
         if not api_key:
             raise ConfigError(f"live backend requires the {API_KEY_ENV} environment variable")

@@ -101,7 +101,7 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Co
             raise ConfigError(f"config file not found: {path}")
         try:
             parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from exc
     values = {
         key: _parse(key, parser.get(section, key))

@@ -8,12 +8,11 @@ records whose merged caption is too short to be a useful description.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ManifestError
-from .jsonio import read_jsonl, read_records, write_jsonl
+from .jsonio import read_csv, read_jsonl, read_records, write_jsonl
 from .sampling import sample_indices
 
 MANIFEST_FORMATS = ("jsonl", "csv")
@@ -48,24 +47,6 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def _iter_rows(path: Path, fmt: str):
-    """Yield (lineno, row-dict) pairs for either manifest format."""
-    if fmt == "jsonl":
-        yield from read_jsonl(path)
-    else:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                return
-            missing = {"image_id", "caption"} - set(reader.fieldnames)
-            if missing:
-                raise ManifestError(
-                    f"line 1: CSV header missing columns: {', '.join(sorted(missing))}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                yield lineno, row
-
-
 def ingest_manifest(path: str | Path, fmt: str = "jsonl") -> Corpus:
     """Read an image-caption manifest into a Corpus.
 
@@ -73,18 +54,16 @@ def ingest_manifest(path: str | Path, fmt: str = "jsonl") -> Corpus:
     exact duplicate (image_id, caption) pair is dropped and counted in
     Corpus.meta["duplicate_captions_dropped"].
     """
-    path = Path(path)
     if fmt not in MANIFEST_FORMATS:
         raise ManifestError(f"unknown manifest format '{fmt}' (expected jsonl or csv)")
-    if not path.exists():
-        raise ManifestError(f"manifest not found: {path}")
+    rows = read_jsonl(path) if fmt == "jsonl" else read_csv(path, ("image_id", "caption"))
 
     order: list[str] = []
     captions: dict[str, list[str]] = {}
     heads: dict[str, dict] = {}
     duplicates = 0
 
-    for lineno, row in _iter_rows(path, fmt):
+    for lineno, row in rows:
         image_id = row.get("image_id") or ""
         if not isinstance(image_id, str):
             raise ManifestError(f"line {lineno}: image_id must be a string")

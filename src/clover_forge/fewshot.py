@@ -7,13 +7,12 @@ class when any of its patches carries a tumor label; benign slides have none.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import IntegrityError, ManifestError
-from .jsonio import write_json
+from .jsonio import read_csv, write_json
 from .metrics import EvalExample
 from .sampling import derive_seed, draw
 
@@ -53,47 +52,38 @@ def ingest_patches(path: str | Path) -> list[PatchRecord]:
     Header: patch_id,wsi_id,organ,label,patch_ref. Every patch of a WSI must
     agree on the organ; patch ids are unique.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"patch manifest not found: {path}")
     records: list[PatchRecord] = []
     seen_patches: set[str] = set()
     wsi_organ: dict[str, str] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"patch_id", "wsi_id", "organ", "label"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or ()))
-            raise ManifestError(f"line 1: CSV header missing columns: {', '.join(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            patch_id = (row.get("patch_id") or "").strip()
-            wsi_id = (row.get("wsi_id") or "").strip()
-            organ = (row.get("organ") or "").strip()
-            label = (row.get("label") or "").strip()
-            if not patch_id or not wsi_id:
-                raise ManifestError(f"line {lineno}: missing patch_id or wsi_id")
-            if organ not in ORGANS:
-                raise ManifestError(f"line {lineno}: unknown organ '{organ}'")
-            if label not in LABELS:
-                raise ManifestError(f"line {lineno}: unknown label '{label}'")
-            if patch_id in seen_patches:
-                raise IntegrityError(f"line {lineno}: duplicate patch_id {patch_id}")
-            seen_patches.add(patch_id)
-            prior = wsi_organ.get(wsi_id)
-            if prior is not None and prior != organ:
-                raise IntegrityError(
-                    f"line {lineno}: WSI {wsi_id} claims organ {organ} but was {prior}"
-                )
-            wsi_organ[wsi_id] = organ
-            records.append(
-                PatchRecord(
-                    patch_id=patch_id,
-                    wsi_id=wsi_id,
-                    organ=organ,
-                    label=label,
-                    patch_ref=(row.get("patch_ref") or "").strip(),
-                )
+    for lineno, row in read_csv(path, ("patch_id", "wsi_id", "organ", "label")):
+        patch_id = (row.get("patch_id") or "").strip()
+        wsi_id = (row.get("wsi_id") or "").strip()
+        organ = (row.get("organ") or "").strip()
+        label = (row.get("label") or "").strip()
+        if not patch_id or not wsi_id:
+            raise ManifestError(f"line {lineno}: missing patch_id or wsi_id")
+        if organ not in ORGANS:
+            raise ManifestError(f"line {lineno}: unknown organ '{organ}'")
+        if label not in LABELS:
+            raise ManifestError(f"line {lineno}: unknown label '{label}'")
+        if patch_id in seen_patches:
+            raise IntegrityError(f"line {lineno}: duplicate patch_id {patch_id}")
+        seen_patches.add(patch_id)
+        prior = wsi_organ.get(wsi_id)
+        if prior is not None and prior != organ:
+            raise IntegrityError(
+                f"line {lineno}: WSI {wsi_id} claims organ {organ} but was {prior}"
             )
+        wsi_organ[wsi_id] = organ
+        records.append(
+            PatchRecord(
+                patch_id=patch_id,
+                wsi_id=wsi_id,
+                organ=organ,
+                label=label,
+                patch_ref=(row.get("patch_ref") or "").strip(),
+            )
+        )
     return records
 
 

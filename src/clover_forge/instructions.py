@@ -230,7 +230,7 @@ def read_dataset(path: str | Path) -> InstructionDataset:
     if sidecar.exists():
         try:
             manifest = json.loads(sidecar.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ManifestError(f"{sidecar}: invalid JSON ({exc})") from exc
         if not isinstance(manifest, dict):
             raise ManifestError(f"{sidecar}: expected a JSON object")

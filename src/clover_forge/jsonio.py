@@ -1,14 +1,16 @@
-"""The on-disk file policy: the JSONL and line-list readers and the atomic writer.
+"""The on-disk file policy: the JSONL, CSV and line-list readers and the atomic writer.
 
-JSONL is UTF-8, one object per line, blank lines skipped; a bad line is a
-`ManifestError` that names its 1-based file line. Every output is written to a
-temp file beside its target and renamed over it, so a failed write leaves the
-previous file untouched. The append-only generation journals (checkpoint and
-skip log) are the one exception and live in `generate`.
+Every input is UTF-8, a leading BOM skipped; a bad line, an undecodable one
+included, is a `ManifestError` that names its 1-based file line. JSONL is one
+object per line, blank lines skipped; CSV has a header line. Every output is
+written to a temp file beside its target and renamed over it, so a failed write
+leaves the previous file untouched. The append-only generation journals
+(checkpoint and skip log) are the one exception and live in `generate`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
@@ -21,9 +23,31 @@ from .errors import ManifestError
 T = TypeVar("T")
 
 
+@contextmanager
+def _open_lines(path: str | Path, newline: str | None = None):
+    """Open UTF-8 text for line iteration, a leading BOM skipped.
+
+    `newline` is `open`'s: CSV passes "" to keep the line ends inside quoted
+    fields. Decoding happens as lines are read; only when it fails is the file
+    read again, by bytes, to name the line that holds the bad byte.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ManifestError(
+                        f"line {lineno}: not UTF-8 (byte 0x{raw[exc.start]:02x})"
+                    ) from None
+            raise
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (lineno, object) for every non-blank line of a JSONL file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_lines(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -31,6 +55,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise ManifestError(f"line {lineno}: invalid JSON (nested too deeply)") from exc
             if not isinstance(row, dict):
                 raise ManifestError(f"line {lineno}: expected a JSON object")
             yield lineno, row
@@ -48,10 +74,34 @@ def read_records(path: str | Path, build: Callable[[dict], T]) -> Iterator[T]:
             raise ManifestError(f"line {lineno}: {exc}") from exc
 
 
+def read_csv(path: str | Path, required: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (lineno, row) for each non-blank record of a CSV file, `row` mapping
+    header columns to fields. `lineno` is the physical line where the record
+    starts. A header without every `required` column, or no header line at all,
+    is a line-1 ManifestError."""
+    with _open_lines(path, newline="") as fh:
+        reader = csv.reader(fh)
+        start = 1
+        try:
+            header = next(reader, [])
+            missing = set(required) - set(header)
+            if missing:
+                raise ManifestError(
+                    f"line 1: CSV header missing columns: {', '.join(sorted(missing))}"
+                )
+            start = reader.line_num + 1
+            for fields in reader:
+                if fields:
+                    yield start, dict(zip(header, fields))
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise ManifestError(f"line {start}: {exc}") from exc
+
+
 def read_line_list(path: str | Path) -> list[str]:
     """Stripped non-blank lines of a text file, '#' comment lines skipped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [s for s in (line.strip() for line in lines) if s and not s.startswith("#")]
+    with _open_lines(path) as fh:
+        return [s for s in (line.strip() for line in fh) if s and not s.startswith("#")]
 
 
 @contextmanager

@@ -398,7 +398,9 @@ JSONL_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("bad_line", ["not-an-object", "not-json", "missing-key"])
+@pytest.mark.parametrize(
+    "bad_line", ["not-an-object", "not-json", "missing-key", "not-utf-8", "nested-too-deeply"]
+)
 @pytest.mark.parametrize("command", sorted(JSONL_COMMANDS))
 def test_bad_jsonl_line_is_reported_by_line_number(
     tmp_path, pinned_config, corpus_file, capsys, command, bad_line
@@ -407,10 +409,14 @@ def test_bad_jsonl_line_is_reported_by_line_number(
     make_row, required = JSONL_ROWS[kind]
     row = make_row(3)
     del row[required]
-    third = {"not-an-object": "[1, 2]", "not-json": "{not json",
-             "missing-key": json.dumps(row)}[bad_line]
+    third = {"not-an-object": b"[1, 2]", "not-json": b"{not json",
+             "missing-key": json.dumps(row).encode(),
+             "not-utf-8": json.dumps(make_row(3)).encode().replace(b'"', b'"\xff', 1),
+             "nested-too-deeply": b"[" * 100_000}[bad_line]
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(json.dumps(make_row(n)) + "\n" for n in (1, 2)) + third + "\n")
+    bad.write_bytes(
+        "".join(json.dumps(make_row(n)) + "\n" for n in (1, 2)).encode() + third + b"\n"
+    )
     fixtures = tmp_path / "fx"
     fixtures.mkdir()
     paths = {"bad": bad, "corpus": corpus_file, "fixtures": fixtures,
@@ -419,6 +425,107 @@ def test_bad_jsonl_line_is_reported_by_line_number(
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: line 3: ")
+    assert "Traceback" not in err
+
+
+def _patch_row(n, field):
+    label = b"tumor" if n % 2 else b"non_tumor"
+    return b"p%d,w%d,stomach,%s,%s\n" % (n, n, label, field)
+
+
+_FEWSHOT_SPLIT = ["fewshot-split", "--organ", "stomach", "--k", "1", "--replicates", "1",
+                  "--out-dir", "{out}"]
+
+# Each CSV input: its header, a row for line n holding `field` in its last
+# column, a row that the reader rejects, and argv with {bad} as that input.
+CSV_INPUTS = {
+    "ingest": (
+        b"image_id,caption\n",
+        lambda n, field: b"img%d,%s\n" % (n, field),
+        b",caption\n",
+        ["ingest", "--format", "csv", "--manifest", "{bad}", "--out", "{out}"],
+    ),
+    "to-vqa": (
+        b"patch_id,wsi_id,organ,label,patch_ref\n",
+        _patch_row,
+        b",w9,stomach,tumor,\n",
+        ["to-vqa", "--patches", "{bad}", "--out", "{out}"],
+    ),
+    "fewshot-split-patches": (
+        b"patch_id,wsi_id,organ,label,patch_ref\n",
+        _patch_row,
+        b",w9,stomach,tumor,\n",
+        [*_FEWSHOT_SPLIT, "--patches", "{bad}", "--test-wsis", "{wsis}"],
+    ),
+}
+
+# Bad CSV content from (header, row, rejected row), and the start of stderr.
+BAD_CSV = {
+    "not-utf-8": (lambda head, row, bad: head + row(1, b"a") + row(2, b"\xff"),
+                  "error: line 3: not UTF-8 (byte 0xff)"),
+    "oversized-field": (lambda head, row, bad: head + row(1, b"x" * 131_073),
+                        "error: line 2: field larger than field limit"),
+    "multi-line-field-then-bad-row": (lambda head, row, bad: head + row(1, b'"two\nlines"') + bad,
+                                      "error: line 4: missing "),
+    "zero-byte": (lambda head, row, bad: b"", "error: line 1: CSV header missing columns: "),
+}
+
+
+def _clinical_inputs(tmp_path):
+    """A patch manifest and a test-WSI list that make one 1-shot stomach split."""
+    head, row, _, _ = CSV_INPUTS["to-vqa"]
+    patches = tmp_path / "patches.csv"
+    patches.write_bytes(head + b"".join(row(n, b"r.png") for n in (1, 2, 3)))
+    wsis = tmp_path / "wsis.txt"
+    wsis.write_text("w3\n")
+    return {"patches": patches, "wsis": wsis, "out": tmp_path / "out"}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSV))
+@pytest.mark.parametrize("command", sorted(CSV_INPUTS))
+def test_bad_csv_line_is_reported_by_line_number(tmp_path, capsys, command, case):
+    head, row, rejected, argv = CSV_INPUTS[command]
+    make_bad, expected = BAD_CSV[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(make_bad(head, row, rejected))
+    paths = {**_clinical_inputs(tmp_path), "bad": bad}
+    code = main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(expected)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(CSV_INPUTS))
+def test_csv_header_after_a_byte_order_mark_is_read(tmp_path, capsys, command):
+    head, row, _, argv = CSV_INPUTS[command]
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + head + b"".join(row(n, b"r.png") for n in (1, 2, 3)))
+    paths = {**_clinical_inputs(tmp_path), "bad": bom}
+    assert main([a.format(**paths) for a in argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# Every line-list input: argv with {bad} as that input.
+LINE_LIST_COMMANDS = {
+    "fewshot-split-test-wsis": [*_FEWSHOT_SPLIT, "--patches", "{patches}", "--test-wsis", "{bad}"],
+    "gen-template-bank": ["gen-template", "--corpus", "{corpus}", "--bank", "{bad}",
+                          "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LINE_LIST_COMMANDS))
+def test_non_utf8_line_list_is_reported_by_line_number(
+    tmp_path, pinned_config, corpus_file, capsys, command
+):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"w1\n# comment\nw\xff3\n")
+    paths = {**_clinical_inputs(tmp_path), "bad": bad, "corpus": corpus_file}
+    code = main(["--config", pinned_config,
+                 *(a.format(**paths) for a in LINE_LIST_COMMANDS[command])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line 3: not UTF-8 (byte 0xff)")
     assert "Traceback" not in err
 
 

@@ -162,12 +162,14 @@ def test_percent_in_a_value_is_literal(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["seed = 3\n", "[core]\nseed = 1\n[core]\nseed = 2\n", "[core]\nseed\n"],
-    ids=["no-section-header", "duplicate-section", "line-without-value"],
+    [b"seed = 3\n", b"[core]\nseed = 1\n[core]\nseed = 2\n", b"[core]\nseed\n",
+     b"[core]\nseed = \xff\n"],
+    ids=["no-section-header", "duplicate-section", "line-without-value", "not-utf-8"],
 )
 def test_malformed_file_is_an_error_naming_the_file(tmp_path, capsys, text):
-    path = write_config(tmp_path, text)
-    code = main(["--config", path, *COST_RATIO])
+    path = tmp_path / "c.ini"
+    path.write_bytes(text)
+    code = main(["--config", str(path), *COST_RATIO])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: config file {path}: ")

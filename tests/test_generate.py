@@ -246,6 +246,20 @@ def test_missing_fixture_becomes_backend_skip(tmp_path):
     assert "backend_error" in result.skipped[0][1]
 
 
+def test_non_utf8_fixture_becomes_backend_skip(tmp_path):
+    corpus = corpus_of(3)
+    fx = tmp_path / "fx"
+    stage_all(fx, corpus)
+    digest = envelope_digest(build_prompt(corpus.records[1].merged_caption))
+    (fx / f"{digest}.txt").write_bytes(CLEAN_COMPLETION.encode() + b"\xff\n")
+    result = run(corpus, MockBackend(fx), tmp_path)
+    assert [it.image_id for it in result.instructions] == ["img000", "img002"]
+    assert [r.image_id for r in result.receipts] == ["img000", "img002"]
+    assert result.skipped == [
+        ("img001", f"backend_error: fixture {fx / digest}.txt is not UTF-8")
+    ]
+
+
 def test_concurrency_does_not_change_output(tmp_path):
     corpus = corpus_of(7)
     stage_all(tmp_path / "fx", corpus)
