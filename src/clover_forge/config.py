@@ -97,8 +97,6 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Co
     path = path or os.environ.get(CONFIG_ENV)
     if path:
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
         except (configparser.Error, UnicodeDecodeError) as exc:

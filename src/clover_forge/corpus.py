@@ -134,21 +134,7 @@ def sample(corpus: Corpus, size: int, seed: int) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "image_id": r.image_id,
-                "image_ref": r.image_ref,
-                "captions": list(r.captions),
-                "merged_caption": r.merged_caption,
-                "source": r.source,
-            }
-            for r in corpus.records
-        ),
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    write_jsonl(path, map(vars, corpus.records))
 
 
 def read_corpus(path: str | Path) -> Corpus:

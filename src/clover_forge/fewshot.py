@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import IntegrityError, ManifestError
-from .jsonio import read_csv, write_json
+from .jsonio import read_csv, write_jsonl
 from .metrics import EvalExample
 from .sampling import derive_seed, draw
 
@@ -111,12 +111,17 @@ def make_kshot(
     Each replicate draws k distinct non-test WSIs per class, preferring a
     combination unseen in earlier replicates. Train patches are all patches of
     the drawn WSIs; test patches are all patches of the test WSIs, identical
-    across replicates.
+    across replicates. `test_wsis` may hold WSIs of either organ, so one list
+    serves both; an id that matches no patch at all is a ValueError.
     """
     if organ not in ORGANS:
         raise ValueError(f"unknown organ '{organ}'")
     if k < 1 or replicates < 1:
         raise ValueError("k and replicates must be >= 1")
+    known = {p.wsi_id for p in patches}
+    unknown = [w for w in test_wsis if w not in known]
+    if unknown:
+        raise ValueError(f"test WSIs match no patch: {', '.join(unknown)}")
     organ_patches = [p for p in patches if p.organ == organ]
     if not organ_patches:
         raise ValueError(f"no patches for organ '{organ}'")
@@ -163,17 +168,8 @@ def make_kshot(
 
 
 def write_split(split: FewShotSplit, path: str | Path) -> None:
-    obj = {
-        "k": split.k,
-        "organ": split.organ,
-        "replicate_index": split.replicate_index,
-        "seed": split.seed,
-        "train_wsis": list(split.train_wsis),
-        "test_wsis": list(split.test_wsis),
-        "train_patches": [asdict(p) for p in split.train_patches],
-        "test_patches": [asdict(p) for p in split.test_patches],
-    }
-    write_json(path, obj, ensure_ascii=False)
+    """Write the split as a one-row JSONL file."""
+    write_jsonl(path, [asdict(split)])
 
 
 def to_vqa(patches: list[PatchRecord]) -> list[EvalExample]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import IntegrityError, ManifestError
-from .jsonio import read_records, write_json, write_jsonl
+from .errors import IntegrityError
+from .jsonio import read_json, read_records, write_json, write_jsonl
 from .prompts import QAPair
 from .sampling import sample_indices
 
@@ -145,8 +145,6 @@ def split_subsets(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n:
         raise ValueError(f"cannot split {n} items into {k} subsets")
-    if k == 1:
-        return [make_dataset(list(ds.items), seed=seed, sources=[dataset_digest(ds)])]
     order = sample_indices(n, n, seed)
     subsets = []
     for i in range(k):
@@ -166,21 +164,6 @@ def sample_scale(ds: InstructionDataset, size: int, seed: int) -> InstructionDat
     return make_dataset(
         [ds.items[i] for i in picked], seed=seed, sources=[dataset_digest(ds)]
     )
-
-
-def _instruction_to_obj(it: Instruction) -> dict:
-    return {
-        "instruction_id": it.instruction_id,
-        "image_id": it.image_id,
-        "kind": it.kind,
-        "turns": [{"question": t.question, "answer": t.answer} for t in it.turns],
-        "provenance": {
-            "method": it.provenance.method,
-            "model": it.provenance.model,
-            "prompt_hash": it.provenance.prompt_hash,
-            "created_at": it.provenance.created_at,
-        },
-    }
 
 
 def _instruction_from_obj(obj: dict) -> Instruction:
@@ -204,13 +187,12 @@ def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
     path = Path(path)
     write_jsonl(
         path,
-        (_instruction_to_obj(it) for it in ds.items),
-        ensure_ascii=False,
-        separators=(",", ":"),
+        (
+            {**vars(it), "turns": list(map(vars, it.turns)), "provenance": vars(it.provenance)}
+            for it in ds.items
+        ),
     )
-    write_json(
-        path.with_name(path.name + ".manifest.json"), ds.manifest, ensure_ascii=False, indent=2
-    )
+    write_json(path.with_name(path.name + ".manifest.json"), ds.manifest)
 
 
 def read_dataset(path: str | Path) -> InstructionDataset:
@@ -228,12 +210,7 @@ def read_dataset(path: str | Path) -> InstructionDataset:
     sidecar = path.with_name(path.name + ".manifest.json")
     ds = make_dataset(items)
     if sidecar.exists():
-        try:
-            manifest = json.loads(sidecar.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ManifestError(f"{sidecar}: invalid JSON ({exc})") from exc
-        if not isinstance(manifest, dict):
-            raise ManifestError(f"{sidecar}: expected a JSON object")
+        manifest = read_json(sidecar)
         counts = ds.counts_by_kind()
         if manifest.get("counts") and manifest["counts"] != counts:
             raise IntegrityError(

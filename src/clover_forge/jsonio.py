@@ -1,11 +1,13 @@
-"""The on-disk file policy: the JSONL, CSV and line-list readers and the atomic writer.
+"""The on-disk file policy: the JSON, JSONL, CSV and line-list readers and the writers.
 
 Every input is UTF-8, a leading BOM skipped; a bad line, an undecodable one
 included, is a `ManifestError` that names its 1-based file line. JSONL is one
 object per line, blank lines skipped; CSV has a header line. Every output is
-written to a temp file beside its target and renamed over it, so a failed write
-leaves the previous file untouched. The append-only generation journals
-(checkpoint and skip log) are the one exception and live in `generate`.
+UTF-8 with non-ASCII text kept as is: a JSONL row is one compact line, a JSON
+document is indented by two spaces. Each is written to a temp file beside its
+target and renamed over it, so a failed write leaves the previous file
+untouched. The append-only generation journals (checkpoint and skip log) are
+the one exception and live in `generate`.
 """
 
 from __future__ import annotations
@@ -60,6 +62,21 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(row, dict):
                 raise ManifestError(f"line {lineno}: expected a JSON object")
             yield lineno, row
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object a whole file holds. A file that does not decode, as UTF-8
+    or as JSON, is a ManifestError naming the file."""
+    try:
+        with _open_lines(path) as fh:
+            obj = json.load(fh)
+    except (json.JSONDecodeError, ManifestError) as exc:
+        raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ManifestError(f"{path}: invalid JSON (nested too deeply)") from exc
+    if not isinstance(obj, dict):
+        raise ManifestError(f"{path}: expected a JSON object")
+    return obj
 
 
 def read_records(path: str | Path, build: Callable[[dict], T]) -> Iterator[T]:
@@ -123,15 +140,22 @@ def atomic_open(path: str | Path):
         raise
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict], **dumps_kwargs) -> None:
-    """Stream rows as JSONL, each encoded as `json.dumps(row, **dumps_kwargs)`."""
-    encode = json.JSONEncoder(**dumps_kwargs).encode
+_encode_row = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def encode_document(obj) -> str:
+    """`obj` as one indent-2 JSON document and a trailing newline."""
+    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Stream rows as JSONL, one compact object per line."""
     with atomic_open(path) as fh:
         for row in rows:
-            fh.write(encode(row) + "\n")
+            fh.write(_encode_row(row) + "\n")
 
 
-def write_json(path: str | Path, obj, **dumps_kwargs) -> None:
-    """Write one JSON document and a trailing newline."""
+def write_json(path: str | Path, obj) -> None:
+    """Write `encode_document(obj)`."""
     with atomic_open(path) as fh:
-        fh.write(json.dumps(obj, **dumps_kwargs) + "\n")
+        fh.write(encode_document(obj))

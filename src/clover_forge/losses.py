@@ -23,6 +23,7 @@ NORM_TOL = 1e-6
 PROB_SUM_TOL = 1e-9
 GRAD_CHECK_STEP = 1e-4
 GRAD_CHECK_TOL = 1e-5
+IDENTITY_CASES = 1000  # random draws for the likelihood-identity check
 POOLINGS = ("max", "mean")
 
 
@@ -239,7 +240,7 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def run_kernel_check(seed: int = 0, identity_cases: int = 1000) -> dict:
+def run_kernel_check(seed: int = 0) -> dict:
     """Run every kernel invariant and gradient check; returns a JSON-able report."""
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
@@ -255,7 +256,7 @@ def run_kernel_check(seed: int = 0, identity_cases: int = 1000) -> dict:
         )
 
     worst = 0.0
-    for _ in range(identity_cases):
+    for _ in range(IDENTITY_CASES):
         n_a = int(rng.integers(1, 9))
         vocab = int(rng.integers(2, 13))
         probs = rng.random((n_a, vocab)) + 1e-3
@@ -331,6 +332,6 @@ def run_kernel_check(seed: int = 0, identity_cases: int = 1000) -> dict:
     return {
         "passed": all(c["passed"] for c in checks),
         "seed": seed,
-        "identity_cases": identity_cases,
+        "identity_cases": IDENTITY_CASES,
         "checks": checks,
     }

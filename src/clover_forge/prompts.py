@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import ParseError
+from .jsonio import encode_document
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,7 @@ class PromptEnvelope:
         """sha256 over the canonical compact JSON of the messages; names mock
         fixtures. Computed on first use and kept, so a record pays for it once."""
         payload = json.dumps(
-            [{"role": m.role, "content": m.content} for m in self.messages],
-            ensure_ascii=False,
-            separators=(",", ":"),
+            list(map(vars, self.messages)), ensure_ascii=False, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -89,8 +88,7 @@ def build_prompt(
 
 
 def envelope_to_json(envelope: PromptEnvelope) -> str:
-    obj = {"messages": [{"role": m.role, "content": m.content} for m in envelope.messages]}
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    return encode_document({"messages": list(map(vars, envelope.messages))})
 
 
 def envelope_digest(envelope: PromptEnvelope) -> str:

@@ -7,6 +7,7 @@ import pytest
 from clover_forge import fewshot
 from clover_forge.cli import main
 from clover_forge.instructions import instruction_digest
+from clover_forge.jsonio import read_jsonl
 from clover_forge.prompts import build_prompt, envelope_digest
 
 DATA = Path(__file__).parent / "data"
@@ -246,15 +247,16 @@ class TestClinicalCommands:
         assert code == 0
         files = sorted(out_dir.glob("stomach_k2_r*.jsonl"))
         assert len(files) == 5
-        first = json.loads(files[0].read_text())
-        assert len(first["train_wsis"]) == 4
-
         vqa = tmp_path / "vqa.jsonl"
         assert main(["to-vqa", "--patches", str(clinical_manifest), "--out", str(vqa)]) == 0
-        lines = vqa.read_text().splitlines()
-        assert len(lines) == 7112
-        row = json.loads(lines[0])
-        assert row["question"].startswith("Is this pathological image")
+        # Both outputs are JSONL: one compact object per line.
+        (first,), vqa_rows = ([row for _, row in read_jsonl(p)] for p in (files[0], vqa))
+        assert len(first["train_wsis"]) == 4
+        assert len(vqa_rows) == 7112
+        assert vqa_rows[0]["question"].startswith("Is this pathological image")
+        for path, rows in ((files[0], [first]), (vqa, vqa_rows)):
+            compact = [json.dumps(r, ensure_ascii=False, separators=(",", ":")) for r in rows]
+            assert path.read_text(encoding="utf-8").splitlines() == compact
 
     def test_failed_to_vqa_write_keeps_previous_file(self, tmp_path, monkeypatch):
         patches = tmp_path / "patches.csv"
@@ -277,7 +279,7 @@ class TestClinicalCommands:
 class TestKernelAndCost:
     def test_kernel_check_exits_zero_and_writes_report(self, tmp_path, capsys):
         report = tmp_path / "kernel.json"
-        assert main(["kernel-check", "--cases", "50", "--out", str(report)]) == 0
+        assert main(["kernel-check", "--out", str(report)]) == 0
         assert "kernel-check passed" in capsys.readouterr().out
         assert json.loads(report.read_text())["passed"] is True
 
@@ -305,11 +307,12 @@ class TestConfig:
         assert code == 1
         assert "endpoint" in capsys.readouterr().err
 
-    def test_missing_config_file_errors(self, tmp_path):
-        assert (
-            main(["--config", str(tmp_path / "absent.ini"), "kernel-check", "--cases", "1"])
-            == 1
-        )
+    def test_missing_config_file_errors(self, tmp_path, capsys):
+        absent = tmp_path / "absent.ini"
+        assert main(["--config", str(absent), "kernel-check"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(absent) in err
+        assert "Traceback" not in err
 
     def test_outputs_default_under_configured_directory(self, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -506,6 +509,23 @@ def test_csv_header_after_a_byte_order_mark_is_read(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
+def test_fewshot_split_rejects_a_test_wsi_that_matches_no_patch(tmp_path, capsys):
+    paths = _clinical_inputs(tmp_path)
+    with paths["patches"].open("a") as fh:
+        fh.write("p9,i1,intestine,tumor,\n")
+    argv = [a.format(**paths) for a in (*_FEWSHOT_SPLIT, "--patches", "{patches}",
+                                        "--test-wsis", "{wsis}")]
+    paths["wsis"].write_text("w3\nw_typo\ni1\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "w_typo" in err and "Traceback" not in err
+    # A WSI of the other organ stays legal: one list serves both organs.
+    paths["wsis"].write_text("w3\ni1\n")
+    assert main(argv) == 0
+    (split,) = paths["out"].glob("*.jsonl")
+    assert next(read_jsonl(split))[1]["test_wsis"] == ["w3"]
+
+
 # Every line-list input: argv with {bad} as that input.
 LINE_LIST_COMMANDS = {
     "fewshot-split-test-wsis": [*_FEWSHOT_SPLIT, "--patches", "{patches}", "--test-wsis", "{bad}"],
@@ -529,7 +549,7 @@ def test_non_utf8_line_list_is_reported_by_line_number(
     assert "Traceback" not in err
 
 
-# Input that parses as JSON but holds a wrong value: (bad file lines, sidecar text
+# Input that parses as JSON but holds a wrong value: (bad file lines, sidecar bytes
 # or None, argv with {bad} as that input, expected start of stderr).
 BAD_VALUES = {
     "ingest-image-id-not-a-string": (
@@ -574,11 +594,24 @@ BAD_VALUES = {
         ["gen-template", "--corpus", "{bad}", "--out", "{out}"],
         "error: line 2: captions must be a list of strings",
     ),
-    "dataset-sidecar-not-json": (
+    **{
+        f"dataset-sidecar-{case}": (
+            [JSONL_ROWS["instructions"][0](1)],
+            sidecar,
+            ["lint", "--instructions", "{bad}"],
+            "error: {bad}.manifest.json: invalid JSON",
+        )
+        for case, sidecar in (
+            ("not-json", b"{\n"),
+            ("nested-too-deeply", b"[" * 100_000),
+            ("not-utf-8", b'{"seed": "\xff"}\n'),
+        )
+    },
+    "dataset-sidecar-not-an-object": (
         [JSONL_ROWS["instructions"][0](1)],
-        "{\n",
+        b"[1]\n",
         ["lint", "--instructions", "{bad}"],
-        "error: {bad}.manifest.json: invalid JSON",
+        "error: {bad}.manifest.json: expected a JSON object",
     ),
     **{
         f"fewshot-{key}-not-a-string-{command}": (
@@ -605,7 +638,7 @@ def test_bad_input_value_is_an_error_not_a_traceback(
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
     if sidecar is not None:
-        (tmp_path / "bad.jsonl.manifest.json").write_text(sidecar)
+        (tmp_path / "bad.jsonl.manifest.json").write_bytes(sidecar)
     paths = {"bad": bad, "corpus": corpus_file, "out": tmp_path / "out.jsonl"}
     code = main(["--config", pinned_config, *(a.format(**paths) for a in argv)])
     err = capsys.readouterr().err

@@ -101,9 +101,10 @@ class TestSplit:
         assert set(seen) == set(ds.ids())
 
     def test_k_equals_one_returns_dataset(self):
+        # Every item, in the seeded shuffle order that k > 1 deals from.
         ds = dataset(6)
-        (only,) = split_subsets(ds, 1, seed=0)
-        assert set(only.ids()) == set(ds.ids())
+        (only,) = split_subsets(ds, 1, seed=5)
+        assert only.items == sample_scale(ds, len(ds), seed=5).items
 
     def test_remainder_spread_round_robin(self):
         sizes = [len(s) for s in split_subsets(dataset(10), 3, seed=0)]
@@ -174,6 +175,14 @@ class TestSerialization:
         sidecar.write_text(tampered)
         with pytest.raises(IntegrityError, match="counts"):
             read_dataset(path)
+
+    def test_sidecar_after_a_byte_order_mark_is_read(self, tmp_path):
+        ds = dataset(3)
+        path = tmp_path / "ds.jsonl"
+        write_dataset(ds, path)
+        sidecar = tmp_path / "ds.jsonl.manifest.json"
+        sidecar.write_bytes(b"\xef\xbb\xbf" + sidecar.read_bytes())
+        assert read_dataset(path).manifest == ds.manifest
 
     def test_unknown_kind_is_a_line_numbered_error(self, tmp_path):
         path = tmp_path / "ds.jsonl"

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from clover_forge.errors import ManifestError
-from clover_forge.jsonio import atomic_open, read_jsonl, write_jsonl
+from clover_forge.jsonio import atomic_open, read_json, read_jsonl, write_json, write_jsonl
 
 
 def test_read_jsonl_skips_blank_lines_and_keeps_file_line_numbers(tmp_path):
@@ -23,11 +23,20 @@ def test_read_jsonl_rejects_non_objects_by_line(tmp_path, line):
 def test_write_jsonl_bytes_equal_json_dumps_lines(tmp_path):
     rows = [{"b": "é", "a": [1, 2]}, {"z": None}]
     path = tmp_path / "rows.jsonl"
-    write_jsonl(path, rows, ensure_ascii=False, separators=(",", ":"))
+    write_jsonl(path, rows)
     expected = "".join(
         json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n" for r in rows
     )
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_write_json_bytes_equal_indented_json_dumps(tmp_path):
+    obj = {"b": "é 40×", "a": [1, {"z": None}]}
+    path = tmp_path / "doc.json"
+    write_json(path, obj)
+    expected = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert read_json(path) == obj
 
 
 def _unserializable_row(path):
