@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .errors import BackendError, ConfigError, TransientBackendError
+from .jsonio import decode
 from .prompts import PromptEnvelope, envelope_digest
 
 API_KEY_ENV = "CLOVER_API_KEY"
@@ -148,16 +149,13 @@ class LiveBackend:
         except (urllib.error.URLError, TimeoutError) as exc:
             raise TransientBackendError(f"network error: {exc}") from exc
 
+        # Usage counts are billed, so they are checked as a row is: each one
+        # present is a non-negative integer or null.
         try:
             text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            return decode(BackendResponse, {**(payload.get("usage") or {}), "text": text})
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
-        usage = payload.get("usage") or {}
-        return BackendResponse(
-            text=text,
-            prompt_tokens=usage.get("prompt_tokens"),
-            completion_tokens=usage.get("completion_tokens"),
-        )
 
 
 def complete(

@@ -30,17 +30,10 @@ def _created_at(cfg: config_mod.Config) -> str:
     return cfg.created_at or _now_iso()
 
 
-def _fewshot_pair(row: dict) -> tuple[str, str]:
-    for key in ("user", "assistant"):
-        if not isinstance(row[key], str):
-            raise ValueError(f"{key} must be a string")
-    return row["user"], row["assistant"]
-
-
 def _read_fewshot(path: str | None) -> list[tuple[str, str]]:
     if not path:
         return []
-    return list(read_records(path, _fewshot_pair))
+    return [(p.user, p.assistant) for p in read_records(path, prompts.FewShotPair)]
 
 
 def _build_backend(cfg: config_mod.Config):

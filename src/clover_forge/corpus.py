@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ManifestError
-from .jsonio import read_csv, read_jsonl, read_records, write_jsonl
+from .jsonio import read_records, write_jsonl
 from .sampling import sample_indices
 
 MANIFEST_FORMATS = ("jsonl", "csv")
@@ -28,6 +28,17 @@ class ImageTextRecord:
     captions: tuple[str, ...] = ()
     merged_caption: str = ""
     source: str = ""
+
+
+@dataclass(frozen=True)
+class ManifestRow:
+    """One manifest line: a caption of one image. A null `image_ref` or
+    `source` reads as empty."""
+
+    image_id: str
+    caption: str
+    image_ref: str | None = None
+    source: str | None = None
 
 
 @dataclass(frozen=True)
@@ -56,46 +67,25 @@ def ingest_manifest(path: str | Path, fmt: str = "jsonl") -> Corpus:
     """
     if fmt not in MANIFEST_FORMATS:
         raise ManifestError(f"unknown manifest format '{fmt}' (expected jsonl or csv)")
-    rows = read_jsonl(path) if fmt == "jsonl" else read_csv(path, ("image_id", "caption"))
 
-    order: list[str] = []
-    captions: dict[str, list[str]] = {}
-    heads: dict[str, dict] = {}
+    def nonblank(row: ManifestRow) -> None:
+        if not row.image_id.strip():
+            raise ValueError("missing image_id")
+        if not row.caption.strip():
+            raise ValueError(f"missing caption for image {row.image_id.strip()}")
+
+    # image_id -> the first row of the image (its image_ref and source) and its captions
+    images: dict[str, tuple[ManifestRow, list[str]]] = {}
     duplicates = 0
-
-    for lineno, row in rows:
-        image_id = row.get("image_id") or ""
-        if not isinstance(image_id, str):
-            raise ManifestError(f"line {lineno}: image_id must be a string")
-        image_id = image_id.strip()
-        if not image_id:
-            raise ManifestError(f"line {lineno}: missing image_id")
-        caption = row.get("caption")
-        if caption is not None and not isinstance(caption, str):
-            raise ManifestError(f"line {lineno}: caption must be a string")
-        if caption is None or not caption.strip():
-            raise ManifestError(f"line {lineno}: missing caption for image {image_id}")
-        head = {key: row.get(key) or "" for key in ("image_ref", "source")}
-        for key, value in head.items():
-            if not isinstance(value, str):
-                raise ManifestError(f"line {lineno}: {key} must be a string")
-        if image_id not in captions:
-            order.append(image_id)
-            captions[image_id] = []
-            heads[image_id] = head
-        if caption in captions[image_id]:
+    for row in read_records(path, ManifestRow, nonblank, fmt):
+        head, captions = images.setdefault(row.image_id.strip(), (row, []))
+        if row.caption in captions:
             duplicates += 1
-            continue
-        captions[image_id].append(caption)
-
+        else:
+            captions.append(row.caption)
     records = tuple(
-        ImageTextRecord(
-            image_id=image_id,
-            image_ref=heads[image_id]["image_ref"],
-            captions=tuple(captions[image_id]),
-            source=heads[image_id]["source"],
-        )
-        for image_id in order
+        ImageTextRecord(image_id, head.image_ref or "", tuple(captions), source=head.source or "")
+        for image_id, (head, captions) in images.items()
     )
     return Corpus(records=records, meta={"duplicate_captions_dropped": duplicates})
 
@@ -140,22 +130,11 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
 def read_corpus(path: str | Path) -> Corpus:
     seen: set[str] = set()
 
-    def record(row: dict) -> ImageTextRecord:
-        fields = {
-            key: row.get(key, "") for key in ("image_id", "image_ref", "merged_caption", "source")
-        }
-        for key, value in fields.items():
-            if not isinstance(value, str):
-                raise ValueError(f"{key} must be a string")
-        image_id = fields["image_id"]
-        if not image_id:
+    def unique(record: ImageTextRecord) -> None:
+        if not record.image_id:
             raise ValueError("missing image_id")
-        if image_id in seen:
-            raise ValueError(f"duplicate image_id {image_id}")
-        seen.add(image_id)
-        captions = row.get("captions", [])
-        if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
-            raise ValueError("captions must be a list of strings")
-        return ImageTextRecord(captions=tuple(captions), **fields)
+        if record.image_id in seen:
+            raise ValueError(f"duplicate image_id {record.image_id}")
+        seen.add(record.image_id)
 
-    return Corpus(records=tuple(read_records(path, record)))
+    return Corpus(records=tuple(read_records(path, ImageTextRecord, unique)))

@@ -15,7 +15,7 @@ import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from .backends import (
 from .corpus import Corpus
 from .errors import BackendError, BudgetExceededError, CloverError, ParseError
 from .instructions import Instruction, Provenance, make_instruction
-from .jsonio import read_records
+from .jsonio import encode_row, read_records
 from .prompts import PromptEnvelope, build_prompt, envelope_digest, lint_qa, parse_qa
 
 DEFAULT_BUDGET_USD = Decimal("8.00")
@@ -91,28 +91,16 @@ def estimate_run_cost(
     return total
 
 
-def _receipt_from_row(row: dict) -> GenerationReceipt:
-    return GenerationReceipt(
-        image_id=row["image_id"],
-        prompt_tokens=row["prompt_tokens"],
-        completion_tokens=row["completion_tokens"],
-        estimated_cost_usd=Decimal(row["estimated_cost_usd"]),
-        backend_id=row["backend_id"],
-        retries=row["retries"],
-    )
-
-
 def load_checkpoint(path: str | Path) -> tuple[set[str], list[GenerationReceipt]]:
     """Processed image ids and their receipts from a previous partial run."""
     if not Path(path).exists():
         return set(), []
-    receipts = list(read_records(path, _receipt_from_row))
+    receipts = list(read_records(path, GenerationReceipt))
     return {r.image_id for r in receipts}, receipts
 
 
 def _receipt_row(receipt: GenerationReceipt) -> str:
-    row = {**asdict(receipt), "estimated_cost_usd": str(receipt.estimated_cost_usd)}
-    return json.dumps(row, ensure_ascii=False, separators=(",", ":"))
+    return encode_row({**vars(receipt), "estimated_cost_usd": str(receipt.estimated_cost_usd)})
 
 
 def _open_journal(stack: ExitStack, path: str | Path):

@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal, get_args
 
 from . import __version__
 from .errors import IntegrityError
@@ -18,12 +19,13 @@ from .jsonio import read_json, read_records, write_json, write_jsonl
 from .prompts import QAPair
 from .sampling import sample_indices
 
-KINDS = ("generation", "template")
+Kind = Literal["generation", "template"]
+KINDS = get_args(Kind)
 
 
 @dataclass(frozen=True)
 class Provenance:
-    method: str
+    method: str = ""
     model: str | None = None
     prompt_hash: str | None = None
     created_at: str = ""
@@ -33,9 +35,9 @@ class Provenance:
 class Instruction:
     instruction_id: str
     image_id: str
-    kind: str
+    kind: Kind
     turns: tuple[QAPair, ...]
-    provenance: Provenance
+    provenance: Provenance = Provenance()
 
 
 _encode_digest_payload = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps bytes
@@ -47,29 +49,25 @@ def instruction_digest(image_id: str, kind: str, questions: list[str]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _check_content(image_id: str, kind: str, turns: tuple[QAPair, ...]) -> None:
+    """The content rules that every instruction keeps, built or read."""
+    if not turns:
+        raise ValueError(f"instruction for image {image_id} has no turns")
+    for i, t in enumerate(turns, start=1):
+        if not t.question.strip() or not t.answer.strip():
+            raise ValueError(f"instruction for image {image_id}: empty text in turn {i}")
+    if kind == "template" and len(turns) != 1:
+        raise ValueError(f"template instruction for image {image_id} must have exactly one turn")
+
+
 def make_instruction(
     image_id: str, kind: str, turns: list[tuple[str, str]] | list[QAPair], provenance: Provenance
 ) -> Instruction:
-    """Build a validated Instruction with its content-derived id; the one
-    content check, which `read_dataset` runs on every row too."""
+    """Build a validated Instruction with its content-derived id."""
     if kind not in KINDS:
         raise ValueError(f"unknown instruction kind '{kind}'")
-    if not isinstance(image_id, str):
-        raise ValueError("image_id must be a string")
-    if not isinstance(provenance.method, str) or not isinstance(provenance.created_at, str):
-        raise ValueError("provenance method and created_at must be strings")
-    if not all(v is None or isinstance(v, str) for v in (provenance.model, provenance.prompt_hash)):
-        raise ValueError("provenance model and prompt_hash must be strings or null")
     norm = tuple([t if isinstance(t, QAPair) else QAPair(*t) for t in turns])
-    if not norm:
-        raise ValueError(f"instruction for image {image_id} has no turns")
-    for i, t in enumerate(norm, start=1):
-        if not isinstance(t.question, str) or not isinstance(t.answer, str):
-            raise ValueError(f"instruction for image {image_id}: non-string text in turn {i}")
-        if not t.question.strip() or not t.answer.strip():
-            raise ValueError(f"instruction for image {image_id}: empty text in turn {i}")
-    if kind == "template" and len(norm) != 1:
-        raise ValueError(f"template instruction for image {image_id} must have exactly one turn")
+    _check_content(image_id, kind, norm)
     digest = instruction_digest(image_id, kind, [t.question for t in norm])
     return Instruction(digest, image_id, kind, norm, provenance)
 
@@ -166,22 +164,6 @@ def sample_scale(ds: InstructionDataset, size: int, seed: int) -> InstructionDat
     )
 
 
-def _instruction_from_obj(obj: dict) -> Instruction:
-    prov = obj.get("provenance", {})
-    if not isinstance(prov, dict):
-        raise ValueError("provenance must be an object")
-    it = make_instruction(
-        obj["image_id"],
-        obj["kind"],
-        [QAPair(t["question"], t["answer"]) for t in obj["turns"]],
-        Provenance(prov.get("method", ""), prov.get("model"), prov.get("prompt_hash"),
-                   prov.get("created_at", "")),
-    )
-    if obj["instruction_id"] != it.instruction_id:
-        raise ValueError(f"instruction_id does not match its content (expected {it.instruction_id})")
-    return it
-
-
 def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
     """Write items as JSONL plus a manifest sidecar, atomically."""
     path = Path(path)
@@ -199,14 +181,16 @@ def read_dataset(path: str | Path) -> InstructionDataset:
     path = Path(path)
     seen: set[str] = set()
 
-    def unique_instruction(obj: dict) -> Instruction:
-        it = _instruction_from_obj(obj)
-        if it.instruction_id in seen:
-            raise ValueError(f"duplicate instruction id {it.instruction_id}")
-        seen.add(it.instruction_id)
-        return it
+    def content(it: Instruction) -> None:
+        _check_content(it.image_id, it.kind, it.turns)
+        expected = instruction_digest(it.image_id, it.kind, [t.question for t in it.turns])
+        if it.instruction_id != expected:
+            raise ValueError(f"instruction_id does not match its content (expected {expected})")
+        if expected in seen:
+            raise ValueError(f"duplicate instruction id {expected}")
+        seen.add(it.instruction_id)  # the string the item keeps, not a second copy
 
-    items = list(read_records(path, unique_instruction))
+    items = list(read_records(path, Instruction, content))
     sidecar = path.with_name(path.name + ".manifest.json")
     ds = make_dataset(items)
     if sidecar.exists():

@@ -2,7 +2,10 @@
 
 Every input is UTF-8, a leading BOM skipped; a bad line, an undecodable one
 included, is a `ManifestError` that names its 1-based file line. JSONL is one
-object per line, blank lines skipped; CSV has a header line. Every output is
+object per line, blank lines skipped; CSV has a header line. `read_records(path,
+RowType)` is the one row checker: the row type is a frozen dataclass whose
+annotations are the row's schema, resolved once per type, and every row is
+checked against it and built into an instance. Every output is
 UTF-8 with non-ASCII text kept as is: a JSONL row is one compact line, a JSON
 document is indented by two spaces. Each is written to a temp file beside its
 target and renamed over it, so a failed write leaves the previous file
@@ -13,10 +16,14 @@ the one exception and live in `generate`.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import json
 import os
+import types
+import typing
 from contextlib import contextmanager
-from decimal import InvalidOperation
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -79,16 +86,156 @@ def read_json(path: str | Path) -> dict:
     return obj
 
 
-def read_records(path: str | Path, build: Callable[[dict], T]) -> Iterator[T]:
-    """Yield `build(row)` for every row; a row that `build` rejects with a
-    missing key, a wrong type or a bad value is a line-numbered ManifestError."""
-    for lineno, row in read_jsonl(path):
+class _Bad(ValueError):
+    """A value that its annotation rejects, at `path` in the row (`turns[2].answer`);
+    `need` says what it must be, and is None for a missing key."""
+
+    def __init__(self, need: str | None, path: str = ""):
+        super().__init__()
+        self.need, self.path = need, path
+
+    def within(self, outer: str) -> _Bad:
+        """This error, its path put under the key or `[index]` that holds the value."""
+        if self.path:
+            outer += self.path if self.path[0] == "[" else "." + self.path
+        self.path = outer
+        return self
+
+    def __str__(self) -> str:
+        if self.need is None:
+            return f"missing key '{self.path}'"
+        return f"{self.path} must be {self.need}"
+
+
+def _test(need: str, accepts: Callable[[object], bool]) -> Callable:
+    """The check that passes each value `accepts` takes and refuses any other."""
+    def check(value):
+        if not accepts(value):
+            raise _Bad(need)
+        return value
+    return check
+
+
+def _amount(value) -> Decimal:
+    try:
+        amount = Decimal(value) if type(value) is str else None
+    except InvalidOperation:
+        amount = None
+    if amount is None or not amount.is_finite() or amount < 0:
+        raise _Bad("a finite non-negative decimal string")
+    return amount
+
+
+_string = _test("a string", lambda v: type(v) is str)
+_SCALARS = {
+    str: _string,
+    int: _test("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    Decimal: _amount,
+}
+
+
+def _check_for(hint) -> Callable:
+    """The check of one annotation: a decoded JSON value in, the field value out."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    if origin is typing.Literal:
+        return _test(" or ".join(map(repr, args)), lambda v: type(v) is str and v in args)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        check = _check_for(args[0] if args[1] is type(None) else args[1])
+
+        def optional(value):
+            try:
+                return None if value is None else check(value)
+            except _Bad as exc:
+                if not exc.path:
+                    exc.need += " or null"
+                raise
+        return optional
+    if origin is tuple and args[1:] == (...,):
+        item = _check_for(args[0])
+
+        def items(value):
+            if type(value) is not list:
+                raise _Bad("a list")
+            out = []
+            try:
+                for v in value:
+                    out.append(item(v))
+            except _Bad as exc:
+                raise exc.within(f"[{len(out)}]")
+            return tuple(out)
+        return items
+    if dataclasses.is_dataclass(hint):
+        return _builder(hint)
+    raise TypeError(f"no JSON row check for the annotation {hint!r}")
+
+
+@functools.cache
+def _builder(row_type: type[T]) -> Callable[[object], T]:
+    """The check of a dataclass: its annotations resolved once, undeclared keys
+    ignored, and an absent key given the field's default or, with none, refused.
+    Each field is set with `object.__setattr__`, as a frozen dataclass's
+    `__init__` sets it, and then `__post_init__` runs; this skips a keyword
+    call to `__init__` per row. `str` fields, the most common, are checked inline."""
+    hints = typing.get_type_hints(row_type)
+    fields = [(f.name, _check_for(hints[f.name]), f.default) for f in dataclasses.fields(row_type)]
+    post_init = getattr(row_type, "__post_init__", None)
+    new, set_field = object.__new__, object.__setattr__
+
+    def build(row) -> T:
+        if type(row) is not dict:
+            raise _Bad("an object")
+        record = new(row_type)
+        for key, check, default in fields:
+            if key not in row:
+                if default is dataclasses.MISSING:
+                    raise _Bad(None, key)
+                value = default
+            elif check is _string:
+                value = row[key]
+                if type(value) is not str:
+                    raise _Bad("a string", key)
+            else:
+                try:
+                    value = check(row[key])
+                except _Bad as exc:
+                    raise exc.within(key)
+            set_field(record, key, value)
+        if post_init is not None:
+            post_init(record)
+        return record
+    return build
+
+
+def decode(row_type: type[T], obj) -> T:
+    """`obj` built into a `row_type`, or a ValueError that names the bad key."""
+    return _builder(row_type)(obj)
+
+
+def read_records(
+    path: str | Path, row_type: type[T], check: Callable[[T], None] | None = None,
+    fmt: str = "jsonl",
+) -> Iterator[T]:
+    """Yield a `row_type` per row of a JSONL file, or with `fmt="csv"` of a CSV
+    file whose header holds every key without a default. A row that the type
+    rejects, or that raises ValueError in `__post_init__` or in `check`, where
+    the rules about meaning sit, is a ManifestError: `line N: missing key 'k'`,
+    `line N: k must be …` or `line N: <the ValueError>`."""
+    build = _builder(row_type)
+    if fmt == "jsonl":
+        rows = read_jsonl(path)
+    else:
+        rows = read_csv(path, [f.name for f in dataclasses.fields(row_type)
+                               if f.default is dataclasses.MISSING])
+    for lineno, row in rows:
         try:
-            yield build(row)
-        except KeyError as exc:
-            raise ManifestError(f"line {lineno}: missing key {exc}") from exc
-        except (AttributeError, TypeError, ValueError, InvalidOperation) as exc:
+            record = build(row)
+            if check is not None:
+                check(record)
+        except ValueError as exc:
             raise ManifestError(f"line {lineno}: {exc}") from exc
+        yield record
 
 
 def read_csv(path: str | Path, required: Iterable[str]) -> Iterator[tuple[int, dict]]:
@@ -140,7 +287,7 @@ def atomic_open(path: str | Path):
         raise
 
 
-_encode_row = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+encode_row = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def encode_document(obj) -> str:
@@ -152,7 +299,7 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     """Stream rows as JSONL, one compact object per line."""
     with atomic_open(path) as fh:
         for row in rows:
-            fh.write(_encode_row(row) + "\n")
+            fh.write(encode_row(row) + "\n")
 
 
 def write_json(path: str | Path, obj) -> None:

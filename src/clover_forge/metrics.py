@@ -12,10 +12,10 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Literal
 
 from .jsonio import read_records
 
-QTYPES = ("open", "closed")
 DEFAULT_POLARITY = ("yes", "no")
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -23,15 +23,16 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 @dataclass(frozen=True)
 class EvalExample:
+    """One scored row; `question` and `prediction` may be absent from a row
+    and read as empty."""
+
     example_id: str
-    question: str
+    question: str = field(default="", kw_only=True)
     reference: str
-    prediction: str
-    qtype: str
+    prediction: str = field(default="", kw_only=True)
+    qtype: Literal["open", "closed"]
 
     def __post_init__(self):
-        if self.qtype not in QTYPES:
-            raise ValueError(f"example {self.example_id}: unknown qtype '{self.qtype}'")
         if not self.reference.strip():
             raise ValueError(f"example {self.example_id}: empty reference")
 
@@ -173,20 +174,10 @@ def evaluate(
     return result
 
 
-def _example_from_row(row: dict) -> EvalExample:
-    return EvalExample(
-        example_id=str(row["example_id"]),
-        question=row.get("question", ""),
-        reference=row["reference"],
-        prediction=row.get("prediction", ""),
-        qtype=row["qtype"],
-    )
-
-
 def read_examples(path: str | Path) -> list[EvalExample]:
     """Load eval examples from JSONL rows of (example_id, question, reference,
     prediction, qtype)."""
-    return list(read_records(path, _example_from_row))
+    return list(read_records(path, EvalExample))
 
 
 def report_to_obj(result: EvalResult) -> dict:

@@ -11,19 +11,26 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import ParseError
-from .jsonio import encode_document
+from .jsonio import encode_document, encode_row
 
 
 @dataclass(frozen=True)
 class Message:
     role: str
     content: str
+
+
+@dataclass(frozen=True)
+class FewShotPair:
+    """One line of a few-shot file: a user turn and the assistant's reply."""
+
+    user: str
+    assistant: str
 
 
 @dataclass(frozen=True)
@@ -46,9 +53,7 @@ class PromptEnvelope:
     def digest(self) -> str:
         """sha256 over the canonical compact JSON of the messages; names mock
         fixtures. Computed on first use and kept, so a record pays for it once."""
-        payload = json.dumps(
-            list(map(vars, self.messages)), ensure_ascii=False, separators=(",", ":")
-        )
+        payload = encode_row(list(map(vars, self.messages)))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -238,7 +238,7 @@ def test_criterion_7_metric_properties():
             pred, expected = f"{want} and {other}", False
         else:
             pred, expected = "uncertain", False
-        example = EvalExample(str(i), "q?", want, pred, "closed")
+        example = EvalExample(str(i), want, "closed", question="q?", prediction=pred)
         assert (evaluate([example]).report.closed_accuracy_pct == 100.0) is expected
 
 

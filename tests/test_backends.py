@@ -125,6 +125,7 @@ class TestComplete:
 class _ScriptedHandler(BaseHTTPRequestHandler):
     statuses: list[int] = []
     seen_bodies: list[dict] = []
+    usage: dict = {}
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -136,7 +137,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             return
         payload = {
             "choices": [{"message": {"content": "Question: q? Answer: served."}}],
-            "usage": {"prompt_tokens": 42, "completion_tokens": 7},
+            "usage": type(self).usage,
         }
         raw = json.dumps(payload).encode()
         self.send_response(200)
@@ -156,6 +157,7 @@ def scripted_server():
     thread.start()
     _ScriptedHandler.statuses = []
     _ScriptedHandler.seen_bodies = []
+    _ScriptedHandler.usage = {"prompt_tokens": 42, "completion_tokens": 7}
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
     server.server_close()
@@ -186,3 +188,25 @@ class TestLiveBackend:
             backend.complete(build_prompt("caption"), 256)
         assert not isinstance(err.value, TransientBackendError)
         assert err.value.status == 400
+
+    @pytest.mark.parametrize("count", ["x", -1000, 1.5, True])
+    @pytest.mark.parametrize("key", ["prompt_tokens", "completion_tokens"])
+    def test_usage_count_that_is_not_a_non_negative_integer_is_malformed(
+        self, monkeypatch, scripted_server, key, count
+    ):
+        monkeypatch.setenv("CLOVER_API_KEY", "test-key")
+        _ScriptedHandler.usage = {**_ScriptedHandler.usage, key: count}
+        backend = LiveBackend(scripted_server, "gpt-3.5-turbo")
+        with pytest.raises(BackendError, match=f"^malformed backend response: {key} must be ") as err:
+            complete(build_prompt("caption"), backend, FAST, RATES, 256)
+        assert not isinstance(err.value, TransientBackendError)
+        assert len(_ScriptedHandler.seen_bodies) == 1
+
+    def test_null_usage_count_is_estimated(self, monkeypatch, scripted_server):
+        monkeypatch.setenv("CLOVER_API_KEY", "test-key")
+        _ScriptedHandler.usage = {"prompt_tokens": None, "completion_tokens": 7}
+        envelope = build_prompt("caption")
+        _, receipt = complete(envelope, LiveBackend(scripted_server, "m"), FAST, RATES, 256)
+        assert (receipt.prompt_tokens, receipt.completion_tokens) == (
+            estimate_prompt_tokens(envelope), 7
+        )

@@ -431,6 +431,51 @@ def test_bad_jsonl_line_is_reported_by_line_number(
     assert "Traceback" not in err
 
 
+# A row value of the wrong type or out of range on line 3 of an input whose
+# other rows are valid: (input kind, the bad row's values, expected message).
+MISTYPED_ROWS = {
+    "eval-vqa-prediction-a-number": ("examples", {"prediction": 5}, "prediction must be a string"),
+    "eval-vqa-example-id-a-number": ("examples", {"example_id": 7}, "example_id must be a string"),
+    "eval-vqa-question-a-list": ("examples", {"question": ["q"]}, "question must be a string"),
+    **{
+        f"gen-qa-checkpoint-cost-{name}": (
+            "checkpoint", {"estimated_cost_usd": cost},
+            "estimated_cost_usd must be a finite non-negative decimal string",
+        )
+        for name, cost in (("nan", "NaN"), ("negative", "-5"))
+    },
+    "gen-qa-checkpoint-prompt-tokens-text": (
+        "checkpoint", {"prompt_tokens": "x"}, "prompt_tokens must be a non-negative integer"
+    ),
+}
+MISTYPED_ARGV = {
+    "examples": ["eval-vqa", "--examples", "{bad}", "--report", "{out}"],
+    "checkpoint": JSONL_COMMANDS["gen-qa-checkpoint"][1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_ROWS))
+def test_mistyped_row_value_is_a_line_numbered_error(
+    tmp_path, pinned_config, corpus_file, capsys, case
+):
+    kind, values, message = MISTYPED_ROWS[case]
+    make_row, _ = JSONL_ROWS[kind]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n"
+                           for row in (make_row(1), make_row(2), {**make_row(3), **values})))
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    paths = {"bad": bad, "corpus": corpus_file, "fixtures": fixtures,
+             "out": tmp_path / "out" / "out.jsonl"}
+    code = main(["--config", pinned_config, *(a.format(**paths) for a in MISTYPED_ARGV[kind])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: line 3: {message}")
+    assert "Traceback" not in err
+    assert not paths["out"].parent.exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def _patch_row(n, field):
     label = b"tumor" if n % 2 else b"non_tumor"
     return b"p%d,w%d,stomach,%s,%s\n" % (n, n, label, field)
@@ -592,7 +637,7 @@ BAD_VALUES = {
         [JSONL_ROWS["corpus"][0](1), {**JSONL_ROWS["corpus"][0](2), "captions": "abc"}],
         None,
         ["gen-template", "--corpus", "{bad}", "--out", "{out}"],
-        "error: line 2: captions must be a list of strings",
+        "error: line 2: captions must be a list",
     ),
     **{
         f"dataset-sidecar-{case}": (
@@ -659,7 +704,8 @@ BAD_INSTRUCTIONS = {
         "does not match its content",
     ),
     "no-turns": (_instruction(pairs=[]), "has no turns"),
-    "answer-not-a-string": (_instruction(pairs=[("Describe the image.", 7)]), "non-string text"),
+    "answer-not-a-string": (_instruction(pairs=[("Describe the image.", 7)]),
+                            "turns[0].answer must be a string"),
     "template-with-four-turns": (
         _instruction(pairs=[(f"Question {i}?", CAPTION) for i in range(4)]), "exactly one turn"
     ),
@@ -674,11 +720,11 @@ BAD_INSTRUCTIONS = {
     },
     "provenance-values-not-strings": (
         {**_instruction(), "provenance": {"model": 5, "created_at": 7}},
-        "provenance method and created_at must be strings",
+        "provenance.model must be a string or null",
     ),
     "provenance-model-not-a-string": (
         {**_instruction(), "provenance": {"method": "template-bank", "model": 5}},
-        "provenance model and prompt_hash must be strings or null",
+        "provenance.model must be a string or null",
     ),
 }
 

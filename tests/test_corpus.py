@@ -37,6 +37,22 @@ class TestIngest:
         assert len(corpus) == 1
         assert corpus.records[0].captions == ("x", "y")
 
+    def test_null_image_ref_and_source_read_as_empty_and_the_first_row_gives_them(
+        self, jsonl_writer
+    ):
+        path = jsonl_writer(
+            "m.jsonl",
+            [
+                {"image_id": " A ", "image_ref": None, "caption": "x", "source": None},
+                {"image_id": "A", "image_ref": "a.png", "caption": "y", "source": "web"},
+                {"image_id": "B", "caption": "z", "extra": [1]},
+            ],
+        )
+        assert ingest_manifest(path, "jsonl").records == (
+            ImageTextRecord("A", "", ("x", "y"), source=""),
+            ImageTextRecord("B", "", ("z",), source=""),
+        )
+
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from clover_forge.backends import GenerationReceipt
+from clover_forge.corpus import Corpus, ImageTextRecord, read_corpus, write_corpus
 from clover_forge.errors import IntegrityError, ManifestError
+from clover_forge.generate import _receipt_row, load_checkpoint
 from clover_forge.instructions import (
     KINDS,
     Instruction,
@@ -190,7 +193,7 @@ class TestSerialization:
         rows = path.read_text().splitlines()
         rows[1] = rows[1].replace('"kind":"generation"', '"kind":"bogus"')
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ManifestError, match="line 2: unknown instruction kind 'bogus'"):
+        with pytest.raises(ManifestError, match="line 2: kind must be 'generation' or 'template'"):
             read_dataset(path)
 
     @given(
@@ -209,9 +212,36 @@ class TestSerialization:
             ),
             max_size=6,
             unique_by=lambda args: args[0],
-        )
+        ),
+        st.lists(
+            st.builds(
+                ImageTextRecord,
+                image_id=st.text(min_size=1, max_size=8),
+                image_ref=st.text(max_size=8),
+                captions=st.lists(st.text(max_size=8), max_size=3).map(tuple),
+                merged_caption=st.text(max_size=8),
+                source=st.text(max_size=8),
+            ),
+            max_size=4,
+            unique_by=lambda record: record.image_id,
+        ),
+        st.lists(
+            st.builds(
+                GenerationReceipt,
+                image_id=st.text(max_size=8),
+                prompt_tokens=st.integers(min_value=0),
+                completion_tokens=st.integers(min_value=0),
+                estimated_cost_usd=st.decimals(min_value=0, allow_nan=False,
+                                               allow_infinity=False),
+                backend_id=st.text(max_size=8),
+                retries=st.integers(min_value=0),
+            ),
+            max_size=4,
+        ),
     )
-    def test_read_of_write_is_identity_and_rewrite_is_byte_identical(self, rows):
+    def test_read_of_write_is_identity_and_rewrite_is_byte_identical(
+        self, rows, records, receipts
+    ):
         items = [
             make_instruction(image_id, kind, pairs[:1] if kind == "template" else pairs, prov)
             for image_id, kind, pairs, prov in rows
@@ -230,6 +260,21 @@ class TestSerialization:
             assert back == ds and back.manifest == ds.manifest
             write_dataset(back, path)
             assert (path.read_bytes(), sidecar.read_bytes()) == written
+
+            corpus, corpus_path = Corpus(records=tuple(records)), Path(tmp) / "corpus.jsonl"
+            write_corpus(corpus, corpus_path)
+            written = corpus_path.read_bytes()
+            assert read_corpus(corpus_path) == corpus
+            write_corpus(read_corpus(corpus_path), corpus_path)
+            assert corpus_path.read_bytes() == written
+
+            checkpoint = Path(tmp) / "checkpoint.jsonl"
+            checkpoint.write_text("".join(_receipt_row(r) + "\n" for r in receipts),
+                                  encoding="utf-8")
+            done, back_receipts = load_checkpoint(checkpoint)
+            assert back_receipts == receipts
+            assert done == {r.image_id for r in receipts}
+            assert [_receipt_row(r) for r in back_receipts] == [_receipt_row(r) for r in receipts]
 
     def test_dataset_manifest_counts_match_items(self):
         ds = dataset(5)

@@ -1,9 +1,22 @@
+import copy
 import json
 
 import pytest
 
+from clover_forge.backends import BackendResponse, GenerationReceipt
+from clover_forge.corpus import ImageTextRecord, ManifestRow
 from clover_forge.errors import ManifestError
-from clover_forge.jsonio import atomic_open, read_json, read_jsonl, write_json, write_jsonl
+from clover_forge.instructions import Instruction
+from clover_forge.jsonio import (
+    atomic_open,
+    read_json,
+    read_jsonl,
+    read_records,
+    write_json,
+    write_jsonl,
+)
+from clover_forge.metrics import EvalExample
+from clover_forge.prompts import FewShotPair
 
 
 def test_read_jsonl_skips_blank_lines_and_keeps_file_line_numbers(tmp_path):
@@ -61,3 +74,87 @@ def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path, failing_
         failing_write(path)
     assert path.read_bytes() == before
     assert list(path.parent.iterdir()) == [path]
+
+
+# Every row type that a reader builds: a valid row, and the paths of the keys
+# that it cannot lack. Together the rows hold every annotation kind the schema
+# checks: str, str | None, int, int | None, Decimal, Literal, tuple[str, ...],
+# tuple of a dataclass, and a nested dataclass.
+ROW_TYPES = {
+    ManifestRow: ({"image_id": "i", "caption": "c", "image_ref": "r", "source": None},
+                  ["image_id", "caption"]),
+    ImageTextRecord: ({"image_id": "i", "image_ref": "", "captions": ["a", "b"],
+                       "merged_caption": "a b", "source": ""}, ["image_id"]),
+    Instruction: ({"instruction_id": "x", "image_id": "i", "kind": "generation",
+                   "turns": [{"question": "q", "answer": "a"}],
+                   "provenance": {"method": "m", "model": None, "prompt_hash": "h",
+                                  "created_at": ""}},
+                  ["instruction_id", "image_id", "kind", "turns", "turns[0].question",
+                   "turns[0].answer"]),
+    EvalExample: ({"example_id": "e", "question": "q", "reference": "yes",
+                   "prediction": "no", "qtype": "closed"}, ["example_id", "reference", "qtype"]),
+    GenerationReceipt: ({"image_id": "i", "prompt_tokens": 3, "completion_tokens": 0,
+                         "estimated_cost_usd": "0.0015", "backend_id": "b", "retries": 1},
+                        ["image_id", "prompt_tokens", "completion_tokens",
+                         "estimated_cost_usd", "backend_id", "retries"]),
+    FewShotPair: ({"user": "u", "assistant": "a"}, ["user", "assistant"]),
+    BackendResponse: ({"text": "t", "prompt_tokens": 4, "completion_tokens": None}, ["text"]),
+}
+
+
+def _key_paths(obj, prefix=""):
+    """(name, container, key) for every key of a row, into nested objects and
+    into the first item of each list, named as the reader names them."""
+    for key, value in obj.items():
+        name = f"{prefix}.{key}" if prefix else key
+        yield name, obj, key
+        if isinstance(value, list) and value:
+            yield f"{name}[0]", value, 0
+            value = value[0]
+            name = f"{name}[0]"
+        if isinstance(value, dict):
+            yield from _key_paths(value, name)
+
+
+def _read_second_row(path, row_type, row, change):
+    """Read a file of `row` and then a copy of it that `change(container, key)`
+    edits at each key path in turn; yield (name, error or None)."""
+    for name, _, _ in _key_paths(row):
+        bad = copy.deepcopy(row)
+        container, key = next((c, k) for n, c, k in _key_paths(bad) if n == name)
+        if not change(container, key):
+            continue
+        path.write_text(json.dumps(row) + "\n" + json.dumps(bad) + "\n")
+        try:
+            list(read_records(path, row_type))
+        except ManifestError as exc:
+            yield name, str(exc)
+        else:
+            yield name, None
+
+
+def _retype(container, key):
+    container[key] = True  # no annotation accepts a JSON boolean
+    return True
+
+
+def _delete(container, key):
+    if isinstance(container, list):
+        return False
+    del container[key]
+    return True
+
+
+@pytest.mark.parametrize("row_type", ROW_TYPES, ids=lambda t: t.__name__)
+def test_row_schema_resolves_and_names_each_bad_key(tmp_path, row_type):
+    row, required = ROW_TYPES[row_type]
+    path = tmp_path / "rows.jsonl"
+    path.write_text("")
+    assert list(read_records(path, row_type)) == []  # the annotations resolve
+    path.write_text(json.dumps(row) + "\n")
+    (record,) = read_records(path, row_type)
+    assert isinstance(record, row_type)
+    for name, error in _read_second_row(path, row_type, row, _retype):
+        assert error is not None and error.startswith(f"line 2: {name} must be "), name
+    for name, error in _read_second_row(path, row_type, row, _delete):
+        assert error == (f"line 2: missing key '{name}'" if name in required else None)

@@ -21,7 +21,7 @@ _words = st.lists(
 
 
 def ex(example_id, ref, pred, qtype="open"):
-    return EvalExample(example_id, "q?", ref, pred, qtype)
+    return EvalExample(example_id, ref, qtype, question="q?", prediction=pred)
 
 
 def recall(ref, pred):
