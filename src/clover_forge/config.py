@@ -73,6 +73,9 @@ _MINIMUM = {
     **dict.fromkeys(("rate_in_usd_per_1k", "rate_out_usd_per_1k"), 0),
     **dict.fromkeys(("min_words", "max_concurrency", "max_completion_tokens"), 1),
 }
+# Rates multiply token counts. Below this ceiling, no cost of any token count
+# that a config can hold overflows the decimal range.
+_MAXIMUM = dict.fromkeys(("rate_in_usd_per_1k", "rate_out_usd_per_1k"), Decimal("1E+308"))
 
 
 def _parse(key: str, raw: str):
@@ -118,9 +121,15 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Co
 def validate_config(config: Config) -> None:
     for key, low in _MINIMUM.items():
         value = getattr(config, key)
-        if not (math.isfinite(value) and value >= low):
+        # `math.isfinite` would turn a Decimal into a float, and 1E+999999 into inf.
+        finite = value.is_finite() if isinstance(value, Decimal) else math.isfinite(value)
+        if not (finite and value >= low):
             raise ConfigError(
-                f"config key [{_SECTION_OF[key]}] {key} must be >= {low}, got {value}"
+                f"config key [{_SECTION_OF[key]}] {key} must be >= {low} and finite, got {value}"
+            )
+        if value > _MAXIMUM.get(key, value):
+            raise ConfigError(
+                f"config key [{_SECTION_OF[key]}] {key} must be <= {_MAXIMUM[key]}, got {value}"
             )
     if config.mode not in ("live", "mock"):
         raise ConfigError(f"backend mode must be live or mock, got '{config.mode}'")

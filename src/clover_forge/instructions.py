@@ -107,7 +107,14 @@ def make_dataset(
         if it.instruction_id in seen:
             raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
         seen.add(it.instruction_id)
-    ds = InstructionDataset(items=tuple(items))
+    return _with_manifest(tuple(items), seed, sources)
+
+
+def _with_manifest(
+    items: tuple[Instruction, ...], seed: int | None = None, sources: list[str] | None = None
+) -> InstructionDataset:
+    """A dataset of `items`, whose ids are known to be unique, and its manifest."""
+    ds = InstructionDataset(items=items)
     manifest = {
         "counts": ds.counts_by_kind(),
         "digest": dataset_digest(ds),
@@ -115,7 +122,7 @@ def make_dataset(
         "seed": seed,
         "tool_version": __version__,
     }
-    return InstructionDataset(items=ds.items, manifest=manifest)
+    return InstructionDataset(items=items, manifest=manifest)
 
 
 def assemble_hybrid(
@@ -178,6 +185,8 @@ def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> InstructionDataset:
+    """A dataset file's items, each checked and its id checked unique as it is
+    read. The manifest is the sidecar's, or computed when there is none."""
     path = Path(path)
     seen: set[str] = set()
 
@@ -190,15 +199,14 @@ def read_dataset(path: str | Path) -> InstructionDataset:
             raise ValueError(f"duplicate instruction id {expected}")
         seen.add(it.instruction_id)  # the string the item keeps, not a second copy
 
-    items = list(read_records(path, Instruction, content))
+    items = tuple(read_records(path, Instruction, content))
     sidecar = path.with_name(path.name + ".manifest.json")
-    ds = make_dataset(items)
-    if sidecar.exists():
-        manifest = read_json(sidecar)
-        counts = ds.counts_by_kind()
-        if manifest.get("counts") and manifest["counts"] != counts:
-            raise IntegrityError(
-                f"manifest counts {manifest['counts']} disagree with file contents {counts}"
-            )
-        return InstructionDataset(items=ds.items, manifest=manifest)
+    if not sidecar.exists():
+        return _with_manifest(items)
+    ds = InstructionDataset(items=items, manifest=read_json(sidecar))
+    counts = ds.counts_by_kind()
+    if ds.manifest.get("counts") and ds.manifest["counts"] != counts:
+        raise IntegrityError(
+            f"manifest counts {ds.manifest['counts']} disagree with file contents {counts}"
+        )
     return ds

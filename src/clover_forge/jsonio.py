@@ -7,9 +7,11 @@ RowType)` is the one row checker: the row type is a frozen dataclass whose
 annotations are the row's schema, resolved once per type, and every row is
 checked against it and built into an instance. Every output is
 UTF-8 with non-ASCII text kept as is: a JSONL row is one compact line, a JSON
-document is indented by two spaces. Each is written to a temp file beside its
-target and renamed over it, so a failed write leaves the previous file
-untouched. The append-only generation journals (checkpoint and skip log) are
+document is indented by two spaces. Both are streamed: JSONL a row at a time,
+a document as the bytes of `encode_document` in bounded batches of encoder
+chunks, so memory does not grow with the file. Each is written to a temp file
+beside its target and renamed over it, so a failed write leaves the previous
+file untouched. The append-only generation journals (checkpoint and skip log) are
 the one exception and live in `generate`.
 """
 
@@ -18,12 +20,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import types
 import typing
 from contextlib import contextmanager
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DefaultContext, InvalidOperation
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -116,13 +119,18 @@ def _test(need: str, accepts: Callable[[object], bool]) -> Callable:
     return check
 
 
+# Amounts are summed. Each one below this bound keeps a sum of as many as a file
+# can hold inside the decimal context's range, so no sum ends in `Overflow`.
+_AMOUNT_LIMIT = Decimal(f"1E+{DefaultContext.Emax - DefaultContext.prec + 1}")
+
+
 def _amount(value) -> Decimal:
     try:
         amount = Decimal(value) if type(value) is str else None
     except InvalidOperation:
         amount = None
-    if amount is None or not amount.is_finite() or amount < 0:
-        raise _Bad("a finite non-negative decimal string")
+    if amount is None or not amount.is_finite() or not 0 <= amount < _AMOUNT_LIMIT:
+        raise _Bad(f"a finite non-negative decimal string below {_AMOUNT_LIMIT}")
     return amount
 
 
@@ -288,11 +296,15 @@ def atomic_open(path: str | Path):
 
 
 encode_row = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_DOCUMENT = json.JSONEncoder(ensure_ascii=False, indent=2)
+# Encoder chunks joined per write: one write per chunk costs time, one join of
+# the whole document holds its text and every chunk in memory at once.
+_CHUNKS_PER_WRITE = 16384
 
 
 def encode_document(obj) -> str:
     """`obj` as one indent-2 JSON document and a trailing newline."""
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    return _DOCUMENT.encode(obj) + "\n"
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
@@ -303,6 +315,10 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Write `encode_document(obj)`."""
+    """Write the bytes of `encode_document(obj)`, streamed in bounded batches
+    of encoder chunks, so that the whole text is never held in memory."""
+    chunks = _DOCUMENT.iterencode(obj)
     with atomic_open(path) as fh:
-        fh.write(encode_document(obj))
+        while batch := list(itertools.islice(chunks, _CHUNKS_PER_WRITE)):
+            fh.write("".join(batch))
+        fh.write("\n")

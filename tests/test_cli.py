@@ -442,7 +442,8 @@ MISTYPED_ROWS = {
             "checkpoint", {"estimated_cost_usd": cost},
             "estimated_cost_usd must be a finite non-negative decimal string",
         )
-        for name, cost in (("nan", "NaN"), ("negative", "-5"))
+        for name, cost in (("nan", "NaN"), ("negative", "-5"), ("overflow", "1e999999999"),
+                           ("past-the-sum-range", "1E+999972"))
     },
     "gen-qa-checkpoint-prompt-tokens-text": (
         "checkpoint", {"prompt_tokens": "x"}, "prompt_tokens must be a non-negative integer"

@@ -139,6 +139,27 @@ def test_budget_flag_beats_file_and_env_path_is_honoured(tmp_path, monkeypatch, 
     assert capsys.readouterr().out.endswith("(within budget $7)\n")
 
 
+def test_huge_finite_budget_flag_is_accepted(capsys, corpus):
+    assert main(["cost-estimate", "--corpus", corpus, "--budget", "1e999999"]) == 0
+    assert capsys.readouterr().out.endswith("(within budget $1E+999999)\n")
+
+
+@pytest.mark.parametrize("budget", ["NaN", "Infinity", "-Infinity", "-1"])
+def test_out_of_range_budget_flag_names_the_rule(capsys, corpus, budget):
+    assert main(["cost-estimate", "--corpus", corpus, f"--budget={budget}"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key [generation] budget_usd must be >= 0 and finite, got {Decimal(budget)}\n"
+    )
+
+
+def test_rate_past_its_ceiling_is_an_error_not_an_overflow(tmp_path, capsys, corpus):
+    path = write_config(tmp_path, "[backend]\nrate_in_usd_per_1k = 1e999999\n")
+    assert main(["--config", path, "cost-estimate", "--corpus", corpus]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key [backend] rate_in_usd_per_1k must be <= 1E+308, got 1E+999999\n"
+    )
+
+
 def test_strict_and_lenient_are_exclusive(capsys):
     assert main(["gen-qa", "--strict", "--lenient", "--dry-run"]) == 2
     assert "not allowed with argument" in capsys.readouterr().err

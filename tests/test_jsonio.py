@@ -1,14 +1,17 @@
 import copy
 import json
+import tracemalloc
 
 import pytest
 
+from clover_forge import jsonio
 from clover_forge.backends import BackendResponse, GenerationReceipt
 from clover_forge.corpus import ImageTextRecord, ManifestRow
 from clover_forge.errors import ManifestError
 from clover_forge.instructions import Instruction
 from clover_forge.jsonio import (
     atomic_open,
+    encode_document,
     read_json,
     read_jsonl,
     read_records,
@@ -52,8 +55,44 @@ def test_write_json_bytes_equal_indented_json_dumps(tmp_path):
     assert read_json(path) == obj
 
 
+def _report(rows):
+    """A document shaped like eval-vqa's report: a summary and one dict per example."""
+    return {
+        "summary": {"accuracy": 0.5, "n": rows},
+        "per_example": [
+            {"example_id": f"ex-{i:05d}", "qtype": "open", "correct": i % 2 == 0,
+             "score": i / 7, "prediction": "glándulas con núcleos pleomórficos"}
+            for i in range(rows)
+        ],
+    }
+
+
+def test_write_json_streams_several_batches_with_the_bytes_of_encode_document(tmp_path):
+    obj = _report(5000)
+    assert sum(1 for _ in jsonio._DOCUMENT.iterencode(obj)) > 2 * jsonio._CHUNKS_PER_WRITE
+    path = tmp_path / "report.json"
+    write_json(path, obj)
+    assert path.read_bytes() == encode_document(obj).encode("utf-8")
+
+
+def test_write_json_peak_memory_is_well_under_the_document_size(tmp_path):
+    obj = _report(20000)
+    size = len(encode_document(obj).encode("utf-8"))
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "report.json", obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2, (peak, size)
+
+
 def _unserializable_row(path):
     write_jsonl(path, [{"a": 3}, {"a": object()}])
+
+
+def _unserializable_document(path):
+    write_json(path, [*range(2 * jsonio._CHUNKS_PER_WRITE), object()])
 
 
 def _partial_write_fails(path):
@@ -64,7 +103,8 @@ def _partial_write_fails(path):
 
 @pytest.mark.parametrize(
     "failing_write, error",
-    [(_unserializable_row, TypeError), (_partial_write_fails, OSError)],
+    [(_unserializable_row, TypeError), (_unserializable_document, TypeError),
+     (_partial_write_fails, OSError)],
 )
 def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path, failing_write, error):
     path = tmp_path / "out" / "rows.jsonl"
