@@ -17,17 +17,13 @@ from . import backends, config as config_mod, corpus as corpus_mod, fewshot, gen
 from . import instructions as instr_mod
 from . import metrics, prompts, templates
 from .errors import CloverError
-from .jsonio import read_line_list, read_records, write_json, write_jsonl
+from .jsonio import encode_document, read_line_list, read_records, write_json, write_jsonl
 
 DRY_RUN_CAPTION = "description"
 
 
-def _now_iso() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def _created_at(cfg: config_mod.Config) -> str:
-    return cfg.created_at or _now_iso()
+    return cfg.created_at or datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _read_fewshot(path: str | None) -> list[tuple[str, str]]:
@@ -100,7 +96,7 @@ def cmd_gen_qa(args, cfg) -> int:
         if args.emit == "digest":
             print(prompts.envelope_digest(envelope))
         else:
-            sys.stdout.write(prompts.envelope_to_json(envelope))
+            sys.stdout.write(encode_document(envelope))
         return 0
     corpus = corpus_mod.read_corpus(_corpus_path(cfg))
     backend = _build_backend(cfg)
@@ -125,11 +121,10 @@ def cmd_gen_qa(args, cfg) -> int:
     instr_mod.write_dataset(ds, out)
     for warning in run.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    spent = sum((r.estimated_cost_usd for r in run.receipts), start=Decimal(0))
     halted = f", halted: {run.halt_reason}" if run.halted else ""
     print(
         f"generated {len(ds)} instructions, skipped {len(run.skipped)}, "
-        f"spent ${spent} -> {out}{halted}"
+        f"spent ${run.spent} -> {out}{halted}"
     )
     return 0
 
@@ -142,13 +137,8 @@ def cmd_lint(args, cfg) -> int:
         report = prompts.lint_qa(it.turns)
         total += len(report.violations)
         if not report.ok:
-            rows.append(
-                {
-                    "instruction_id": it.instruction_id,
-                    "image_id": it.image_id,
-                    "violations": list(map(vars, report.violations)),
-                }
-            )
+            rows.append({"instruction_id": it.instruction_id, "image_id": it.image_id,
+                         "violations": report.violations})
     if args.out:
         write_json(args.out, rows)
     print(f"linted {len(ds)} instructions: {len(rows)} dirty, {total} violations")
@@ -190,10 +180,12 @@ def cmd_sample_scale(args, cfg) -> int:
 
 
 def cmd_eval_vqa(args, cfg) -> int:
-    examples = metrics.read_examples(args.examples)
     polarity = tuple(args.polarity.split(","))
-    if len(polarity) != 2:
-        raise CloverError("--polarity must be two comma-separated tokens")
+    if (len(polarity) != 2 or polarity[0] == polarity[1]
+            or any(metrics.normalize(p) != [p] for p in polarity)):
+        raise CloverError("--polarity must be two different comma-separated tokens, "
+                          f"each lowercase alphanumeric, got '{args.polarity}'")
+    examples = metrics.read_examples(args.examples)
     result = metrics.evaluate(examples, polarity)
     print(metrics.format_report(result.report))
     if args.report:
@@ -231,7 +223,7 @@ def cmd_to_vqa(args, cfg) -> int:
     patches = fewshot.ingest_patches(args.patches)
     examples = fewshot.to_vqa(patches)
     out = _out_path(args.out, cfg, "clinical_vqa.jsonl")
-    write_jsonl(out, map(vars, examples))
+    write_jsonl(out, examples)
     print(f"rendered {len(examples)} patches as VQA records -> {out}")
     return 0
 

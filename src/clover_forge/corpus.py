@@ -124,7 +124,7 @@ def sample(corpus: Corpus, size: int, seed: int) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    write_jsonl(path, map(vars, corpus.records))
+    write_jsonl(path, corpus.records)
 
 
 def read_corpus(path: str | Path) -> Corpus:

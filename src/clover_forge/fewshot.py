@@ -8,7 +8,7 @@ class when any of its patches carries a tumor label; benign slides have none.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IntegrityError, ManifestError
@@ -169,7 +169,7 @@ def make_kshot(
 
 def write_split(split: FewShotSplit, path: str | Path) -> None:
     """Write the split as a one-row JSONL file."""
-    write_jsonl(path, [asdict(split)])
+    write_jsonl(path, [split])
 
 
 def to_vqa(patches: list[PatchRecord]) -> list[EvalExample]:

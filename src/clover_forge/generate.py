@@ -69,6 +69,8 @@ class GenerationRun:
     halted: bool = False
     halt_reason: str = ""
     warnings: list[str] = field(default_factory=list)
+    # The ledger's spend when the run returns, the resumed checkpoint's included.
+    spent: Decimal = Decimal(0)
 
 
 def request_reservation(
@@ -97,10 +99,6 @@ def load_checkpoint(path: str | Path) -> tuple[set[str], list[GenerationReceipt]
         return set(), []
     receipts = list(read_records(path, GenerationReceipt))
     return {r.image_id for r in receipts}, receipts
-
-
-def _receipt_row(receipt: GenerationReceipt) -> str:
-    return encode_row({**vars(receipt), "estimated_cost_usd": str(receipt.estimated_cost_usd)})
 
 
 def _open_journal(stack: ExitStack, path: str | Path):
@@ -196,7 +194,7 @@ def generate_instructions(
             ledger.record(receipt.estimated_cost_usd)
             run.receipts.append(receipt)
             try:
-                checkpoint_fh.write(_receipt_row(receipt) + "\n")
+                checkpoint_fh.write(encode_row(receipt) + "\n")
                 checkpoint_fh.flush()
             except OSError as exc:
                 err = CloverError(f"checkpoint write failed: {exc}")
@@ -236,4 +234,5 @@ def generate_instructions(
                     ),
                 )
             )
+    run.spent = ledger.spent
     return run

@@ -174,13 +174,7 @@ def sample_scale(ds: InstructionDataset, size: int, seed: int) -> InstructionDat
 def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
     """Write items as JSONL plus a manifest sidecar, atomically."""
     path = Path(path)
-    write_jsonl(
-        path,
-        (
-            {**vars(it), "turns": list(map(vars, it.turns)), "provenance": vars(it.provenance)}
-            for it in ds.items
-        ),
-    )
+    write_jsonl(path, ds.items)
     write_json(path.with_name(path.name + ".manifest.json"), ds.manifest)
 
 

@@ -5,13 +5,14 @@ included, is a `ManifestError` that names its 1-based file line. JSONL is one
 object per line, blank lines skipped; CSV has a header line. `read_records(path,
 RowType)` is the one row checker: the row type is a frozen dataclass whose
 annotations are the row's schema, resolved once per type, and every row is
-checked against it and built into an instance. Every output is
-UTF-8 with non-ASCII text kept as is: a JSONL row is one compact line, a JSON
-document is indented by two spaces. Both are streamed: JSONL a row at a time,
-a document as the bytes of `encode_document` in bounded batches of encoder
-chunks, so memory does not grow with the file. Each is written to a temp file
-beside its target and renamed over it, so a failed write leaves the previous
-file untouched. The append-only generation journals (checkpoint and skip log) are
+checked against it and built into an instance. The writers are its inverse:
+a dataclass row is written as the object of its fields, a `Decimal` as its
+string. Every output is UTF-8 with non-ASCII text kept as is: a JSONL row is one
+compact line, a JSON document is indented by two spaces. Both are streamed:
+JSONL a row at a time, a document as the bytes of `encode_document` in bounded
+batches of encoder chunks, so memory does not grow with the file. Each is
+written to a temp file beside its target and renamed over it, so a failed write
+leaves the previous file untouched. The append-only generation journals (checkpoint and skip log) are
 the one exception and live in `generate`.
 """
 
@@ -295,8 +296,24 @@ def atomic_open(path: str | Path):
         raise
 
 
-encode_row = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-_DOCUMENT = json.JSONEncoder(ensure_ascii=False, indent=2)
+def _encodable(obj):
+    """The encoders' `default`, `_builder`'s inverse: a dataclass row is the object
+    of its fields in declaration order (its `__dict__`, unless that also holds a
+    cached property), and a `Decimal` is its string."""
+    try:
+        fields = type(obj).__dataclass_fields__
+    except AttributeError:
+        if isinstance(obj, Decimal):
+            return str(obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable") from None
+    state = vars(obj)
+    if len(state) == len(fields):
+        return state
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+encode_row = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), default=_encodable).encode
+_DOCUMENT = json.JSONEncoder(ensure_ascii=False, indent=2, default=_encodable)
 # Encoder chunks joined per write: one write per chunk costs time, one join of
 # the whole document holds its text and every chunk in memory at once.
 _CHUNKS_PER_WRITE = 16384
@@ -307,8 +324,8 @@ def encode_document(obj) -> str:
     return _DOCUMENT.encode(obj) + "\n"
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Stream rows as JSONL, one compact object per line."""
+def write_jsonl(path: str | Path, rows: Iterable) -> None:
+    """Stream rows, dataclass rows or dicts, as JSONL, one compact object per line."""
     with atomic_open(path) as fh:
         for row in rows:
             fh.write(encode_row(row) + "\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import ParseError
-from .jsonio import encode_document, encode_row
+from .jsonio import encode_row
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class PromptEnvelope:
     def digest(self) -> str:
         """sha256 over the canonical compact JSON of the messages; names mock
         fixtures. Computed on first use and kept, so a record pays for it once."""
-        payload = encode_row(list(map(vars, self.messages)))
+        payload = encode_row(self.messages)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -90,10 +90,6 @@ def build_prompt(
         messages.append(Message("assistant", assistant_text))
     messages.append(Message("user", caption))
     return PromptEnvelope(tuple(messages))
-
-
-def envelope_to_json(envelope: PromptEnvelope) -> str:
-    return encode_document({"messages": list(map(vars, envelope.messages))})
 
 
 def envelope_digest(envelope: PromptEnvelope) -> str:

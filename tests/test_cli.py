@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,13 @@ class TestCostRatio:
     def test_prints_two_decimal_ratio(self, capsys, metric, params, expected):
         assert main(["cost-ratio", "--metric", metric, "--params", params]) == 0
         assert capsys.readouterr().out.strip() == expected
+
+    @pytest.mark.parametrize("metric", ["nan", "inf", "-inf"])
+    def test_non_finite_metric_is_an_error(self, capsys, metric):
+        assert main(["cost-ratio", f"--metric={metric}", "--params", "187000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: metric must be finite")
+        assert captured.out == ""
 
 
 class TestDryRun:
@@ -197,6 +205,24 @@ class TestPipelineFlow:
         ]
         assert len(gen.read_text().splitlines()) == 6
 
+    def test_resumed_gen_qa_prints_the_spend_of_the_whole_checkpoint(
+        self, tmp_path, pinned_config, corpus_file, capsys
+    ):
+        fixtures = tmp_path / "fx"
+        stage_fixtures(fixtures, corpus_file)
+        first_half = tmp_path / "half.jsonl"
+        first_half.write_text("".join(corpus_file.read_text().splitlines(keepends=True)[:3]))
+        checkpoint = tmp_path / "gen.checkpoint.jsonl"
+        for corpus in (first_half, corpus_file):
+            assert main(["--config", pinned_config, "gen-qa", "--corpus", str(corpus),
+                         "--fixtures", str(fixtures), "--checkpoint", str(checkpoint),
+                         "--out", str(tmp_path / "gen.jsonl")]) == 0
+        costs = [Decimal(row["estimated_cost_usd"]) for _, row in read_jsonl(checkpoint)]
+        assert len(costs) == 6
+        first, resumed = capsys.readouterr().out.splitlines()
+        assert f"spent ${sum(costs[:3], start=Decimal(0))} ->" in first
+        assert f"spent ${sum(costs, start=Decimal(0))} ->" in resumed
+
     def test_lint_subcommand_reports(self, tmp_path, pinned_config, corpus_file, capsys):
         tmpl = tmp_path / "tmpl.jsonl"
         main(["--config", pinned_config, "gen-template", "--corpus", str(corpus_file),
@@ -230,6 +256,18 @@ class TestEvalVqa:
         assert obj["closed_accuracy_pct"] == 100.0
         assert obj["open_recall_pct"] == 100.0
         assert len(obj["per_example"]) == 2
+
+    @pytest.mark.parametrize("polarity", ["yes,", ",no", "Yes,No", "yes,yes", "yes,no,maybe",
+                                          "yes no,no"])
+    def test_polarity_needs_two_different_normalized_tokens(self, tmp_path, capsys, polarity):
+        examples = tmp_path / "examples.jsonl"
+        examples.write_text(json.dumps({"example_id": "1", "reference": "yes",
+                                        "prediction": "yes and no", "qtype": "closed"}) + "\n")
+        code = main(["eval-vqa", "--examples", str(examples), f"--polarity={polarity}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: --polarity must be two different")
+        assert captured.out == ""
 
 
 class TestClinicalCommands:

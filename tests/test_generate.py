@@ -408,7 +408,7 @@ def test_checkpoint_write_failure_stops_workers_and_keeps_partial(tmp_path, monk
         rows.append(receipt.image_id)
         return json.dumps({"image_id": receipt.image_id})
 
-    monkeypatch.setattr(generate, "_receipt_row", failing_row)
+    monkeypatch.setattr(generate, "encode_row", failing_row)
     backend = JitterBackend(tmp_path / "fx")
     before = set(threading.enumerate())
     with pytest.raises(CloverError, match="checkpoint write failed") as excinfo:

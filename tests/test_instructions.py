@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from clover_forge.backends import GenerationReceipt
 from clover_forge.corpus import Corpus, ImageTextRecord, read_corpus, write_corpus
 from clover_forge.errors import IntegrityError, ManifestError
-from clover_forge.generate import _receipt_row, load_checkpoint
+from clover_forge.generate import load_checkpoint
 from clover_forge.instructions import (
     KINDS,
     Instruction,
@@ -23,6 +23,7 @@ from clover_forge.instructions import (
     split_subsets,
     write_dataset,
 )
+from clover_forge.jsonio import encode_row
 
 PROV = Provenance(method="template-bank", created_at="2026-01-01T00:00:00Z")
 
@@ -269,12 +270,12 @@ class TestSerialization:
             assert corpus_path.read_bytes() == written
 
             checkpoint = Path(tmp) / "checkpoint.jsonl"
-            checkpoint.write_text("".join(_receipt_row(r) + "\n" for r in receipts),
+            checkpoint.write_text("".join(encode_row(r) + "\n" for r in receipts),
                                   encoding="utf-8")
             done, back_receipts = load_checkpoint(checkpoint)
             assert back_receipts == receipts
             assert done == {r.image_id for r in receipts}
-            assert [_receipt_row(r) for r in back_receipts] == [_receipt_row(r) for r in receipts]
+            assert [encode_row(r) for r in back_receipts] == [encode_row(r) for r in receipts]
 
     def test_dataset_manifest_counts_match_items(self):
         ds = dataset(5)

@@ -1,17 +1,24 @@
 import copy
+import dataclasses
 import json
+import tempfile
 import tracemalloc
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clover_forge import jsonio
 from clover_forge.backends import BackendResponse, GenerationReceipt
 from clover_forge.corpus import ImageTextRecord, ManifestRow
 from clover_forge.errors import ManifestError
-from clover_forge.instructions import Instruction
+from clover_forge.fewshot import FewShotSplit, PatchRecord, write_split
+from clover_forge.instructions import KINDS, Instruction, Provenance, make_instruction
 from clover_forge.jsonio import (
     atomic_open,
     encode_document,
+    encode_row,
     read_json,
     read_jsonl,
     read_records,
@@ -19,7 +26,7 @@ from clover_forge.jsonio import (
     write_jsonl,
 )
 from clover_forge.metrics import EvalExample
-from clover_forge.prompts import FewShotPair
+from clover_forge.prompts import FewShotPair, build_prompt
 
 
 def test_read_jsonl_skips_blank_lines_and_keeps_file_line_numbers(tmp_path):
@@ -198,3 +205,69 @@ def test_row_schema_resolves_and_names_each_bad_key(tmp_path, row_type):
         assert error is not None and error.startswith(f"line 2: {name} must be "), name
     for name, error in _read_second_row(path, row_type, row, _delete):
         assert error == (f"line 2: missing key '{name}'" if name in required else None)
+
+
+# Text with non-ASCII characters, quotes, backslashes and line breaks mixed in.
+_TEXT = st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from('"\\\n\r\té×😀')),
+                max_size=12)
+_WORDS = _TEXT.filter(str.strip)
+_COUNT = st.integers(min_value=0, max_value=10**12)
+_PROVENANCE = st.builds(Provenance, _TEXT, st.none() | _TEXT, st.none() | _TEXT, _TEXT)
+WRITTEN_ROWS = {
+    ImageTextRecord: st.builds(ImageTextRecord, _TEXT, _TEXT, st.lists(_TEXT, max_size=3).map(tuple),
+                               _TEXT, _TEXT),
+    Instruction: st.sampled_from(KINDS).flatmap(lambda kind: st.builds(
+        make_instruction, _TEXT, st.just(kind),
+        st.lists(st.tuples(_WORDS, _WORDS), min_size=1, max_size=1 if kind == "template" else 3),
+        _PROVENANCE,
+    )),
+    EvalExample: st.builds(EvalExample, example_id=_TEXT, question=_TEXT, reference=_WORDS,
+                           prediction=_TEXT, qtype=st.sampled_from(["open", "closed"])),
+    GenerationReceipt: st.builds(
+        GenerationReceipt, _TEXT, _COUNT, _COUNT,
+        st.decimals(min_value=0, max_value=Decimal("1E+30"), allow_nan=False,
+                    allow_infinity=False),
+        _TEXT, _COUNT,
+    ),
+}
+
+
+def _asdict_line(row) -> str:
+    """A row as the row writers encoded it before they took dataclasses."""
+    return json.dumps(dataclasses.asdict(row), ensure_ascii=False, separators=(",", ":"),
+                      default=str) + "\n"
+
+
+@pytest.mark.parametrize("row_type", WRITTEN_ROWS, ids=lambda t: t.__name__)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_written_rows_read_back_equal_with_the_bytes_of_asdict(row_type, data):
+    rows = data.draw(st.lists(WRITTEN_ROWS[row_type], max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        write_jsonl(path, rows)
+        assert path.read_text(encoding="utf-8") == "".join(map(_asdict_line, rows))
+        assert list(read_records(path, row_type)) == rows
+
+
+_PATCH = st.builds(PatchRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT)
+
+
+@settings(max_examples=15, deadline=None)
+@given(split=st.builds(FewShotSplit, _COUNT, _TEXT, st.lists(_TEXT, max_size=3).map(tuple),
+                       st.lists(_TEXT, max_size=3).map(tuple),
+                       st.lists(_PATCH, max_size=3).map(tuple),
+                       st.lists(_PATCH, max_size=3).map(tuple), _COUNT, _COUNT))
+def test_written_split_has_the_bytes_of_asdict(split):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.jsonl"
+        write_split(split, path)
+        assert path.read_text(encoding="utf-8") == _asdict_line(split)
+
+
+def test_a_row_that_caches_a_property_is_written_as_its_fields_only():
+    envelope = build_prompt("a caption")
+    before = encode_row(envelope)
+    assert envelope.digest in vars(envelope).values()
+    assert encode_row(envelope) == before == encode_row({"messages": envelope.messages})
+    assert json.loads(before) == {"messages": [dataclasses.asdict(m) for m in envelope.messages]}
