@@ -19,8 +19,6 @@ from . import metrics, prompts, templates
 from .errors import CloverError
 from .jsonio import encode_document, read_line_list, read_records, write_json, write_jsonl
 
-DRY_RUN_CAPTION = "description"
-
 
 def _created_at(cfg: config_mod.Config) -> str:
     return cfg.created_at or datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -92,7 +90,7 @@ def cmd_gen_template(args, cfg) -> int:
 def cmd_gen_qa(args, cfg) -> int:
     fewshot_pairs = _read_fewshot(args.fewshot)
     if args.dry_run:
-        envelope = prompts.build_prompt(args.caption or DRY_RUN_CAPTION, fewshot_pairs)
+        envelope = prompts.build_prompt(args.caption, fewshot_pairs)
         if args.emit == "digest":
             print(prompts.envelope_digest(envelope))
         else:
@@ -206,6 +204,10 @@ def cmd_fewshot_split(args, cfg) -> int:
     splits = fewshot.make_kshot(
         patches, args.organ, args.k, test_wsis, cfg.seed, args.replicates
     )
+    reused = len(splits) - len({frozenset(s.train_wsis) for s in splits})
+    if reused:
+        print(f"warning: {reused} of {len(splits)} replicates reuse an earlier "
+              "replicate's training WSIs", file=sys.stderr)
     out_dir = _out_path(args.out_dir, cfg, "splits")
     for split in splits:
         fewshot.write_split(
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-log")
     p.add_argument("--out")
     p.add_argument("--dry-run", action="store_true", help="emit the prompt envelope, no backend")
-    p.add_argument("--caption", help="caption for --dry-run")
+    p.add_argument("--caption", default="description", help="caption for --dry-run")
     p.add_argument("--emit", choices=("envelope", "digest"), default="envelope")
     p.set_defaults(func=cmd_gen_qa)
 

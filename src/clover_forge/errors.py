@@ -18,7 +18,7 @@ class ParseError(CloverError):
 
 
 class IntegrityError(CloverError):
-    """Two pieces of data that must agree do not (ids, organs, contents)."""
+    """Two pieces of data that must agree do not (ids, counts, contents)."""
 
 
 class ConfigError(CloverError):

@@ -10,14 +10,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal, get_args
 
-from .errors import IntegrityError, ManifestError
-from .jsonio import read_csv, write_jsonl
+from .jsonio import read_records, write_jsonl
 from .metrics import EvalExample
 from .sampling import derive_seed, draw
 
-ORGANS = ("stomach", "intestine")
-LABELS = ("tumor", "non_tumor")
+Organ = Literal["stomach", "intestine"]
+Label = Literal["tumor", "non_tumor"]
+ORGANS, LABELS = get_args(Organ), get_args(Label)
 
 VQA_QUESTION = "Is this pathological image showing a negative or positive result?"
 VQA_ANSWER_NEGATIVE = "this is a negative pathological image"
@@ -29,15 +30,15 @@ CLINICAL_POLARITY = ("positive", "negative")
 class PatchRecord:
     patch_id: str
     wsi_id: str
-    organ: str
-    label: str
+    organ: Organ
+    label: Label
     patch_ref: str = ""
 
 
 @dataclass(frozen=True)
 class FewShotSplit:
     k: int
-    organ: str
+    organ: Organ
     train_wsis: tuple[str, ...]
     test_wsis: tuple[str, ...]
     train_patches: tuple[PatchRecord, ...]
@@ -47,44 +48,24 @@ class FewShotSplit:
 
 
 def ingest_patches(path: str | Path) -> list[PatchRecord]:
-    """Read and validate a patch manifest CSV.
+    """Read a patch manifest CSV, header patch_id,wsi_id,organ,label[,patch_ref].
 
-    Header: patch_id,wsi_id,organ,label,patch_ref. Every patch of a WSI must
-    agree on the organ; patch ids are unique.
+    Every patch of a WSI must agree on the organ; patch ids are unique.
     """
-    records: list[PatchRecord] = []
     seen_patches: set[str] = set()
     wsi_organ: dict[str, str] = {}
-    for lineno, row in read_csv(path, ("patch_id", "wsi_id", "organ", "label")):
-        patch_id = (row.get("patch_id") or "").strip()
-        wsi_id = (row.get("wsi_id") or "").strip()
-        organ = (row.get("organ") or "").strip()
-        label = (row.get("label") or "").strip()
-        if not patch_id or not wsi_id:
-            raise ManifestError(f"line {lineno}: missing patch_id or wsi_id")
-        if organ not in ORGANS:
-            raise ManifestError(f"line {lineno}: unknown organ '{organ}'")
-        if label not in LABELS:
-            raise ManifestError(f"line {lineno}: unknown label '{label}'")
-        if patch_id in seen_patches:
-            raise IntegrityError(f"line {lineno}: duplicate patch_id {patch_id}")
-        seen_patches.add(patch_id)
-        prior = wsi_organ.get(wsi_id)
-        if prior is not None and prior != organ:
-            raise IntegrityError(
-                f"line {lineno}: WSI {wsi_id} claims organ {organ} but was {prior}"
-            )
-        wsi_organ[wsi_id] = organ
-        records.append(
-            PatchRecord(
-                patch_id=patch_id,
-                wsi_id=wsi_id,
-                organ=organ,
-                label=label,
-                patch_ref=(row.get("patch_ref") or "").strip(),
-            )
-        )
-    return records
+
+    def check(record: PatchRecord) -> None:
+        if not record.patch_id or not record.wsi_id:
+            raise ValueError("missing patch_id or wsi_id")
+        if record.patch_id in seen_patches:
+            raise ValueError(f"duplicate patch_id {record.patch_id}")
+        seen_patches.add(record.patch_id)
+        prior = wsi_organ.setdefault(record.wsi_id, record.organ)
+        if prior != record.organ:
+            raise ValueError(f"WSI {record.wsi_id} claims organ {record.organ} but was {prior}")
+
+    return list(read_records(path, PatchRecord, check, "csv"))
 
 
 def wsi_classes(records: list[PatchRecord]) -> dict[str, str]:

@@ -2,18 +2,19 @@
 
 Every input is UTF-8, a leading BOM skipped; a bad line, an undecodable one
 included, is a `ManifestError` that names its 1-based file line. JSONL is one
-object per line, blank lines skipped; CSV has a header line. `read_records(path,
-RowType)` is the one row checker: the row type is a frozen dataclass whose
-annotations are the row's schema, resolved once per type, and every row is
-checked against it and built into an instance. The writers are its inverse:
-a dataclass row is written as the object of its fields, a `Decimal` as its
-string. Every output is UTF-8 with non-ASCII text kept as is: a JSONL row is one
-compact line, a JSON document is indented by two spaces. Both are streamed:
-JSONL a row at a time, a document as the bytes of `encode_document` in bounded
-batches of encoder chunks, so memory does not grow with the file. Each is
-written to a temp file beside its target and renamed over it, so a failed write
-leaves the previous file untouched. The append-only generation journals (checkpoint and skip log) are
-the one exception and live in `generate`.
+object per line, blank lines skipped; CSV has a header line, and each field is
+trimmed of surrounding whitespace. `read_records(path, RowType)` is the one row
+checker: the row type is a frozen dataclass whose annotations are the row's
+schema, resolved once per type, and every row is checked against it and built
+into an instance. The writers are its inverse: a dataclass row is written as
+the object of its fields, a `Decimal` as its string. Every output is UTF-8 with
+non-ASCII text kept as is: a JSONL row is one compact line, a JSON document is
+indented by two spaces. Both are streamed: JSONL a row at a time, a document as
+the bytes of `encode_document` in bounded batches of encoder chunks, so memory
+does not grow with the file. Each is written to a temp file beside its target
+and renamed over it, so a failed write leaves the previous file untouched. The
+append-only generation journals (checkpoint and skip log) are the one exception
+and live in `generate`.
 """
 
 from __future__ import annotations
@@ -235,8 +236,8 @@ def read_records(
     if fmt == "jsonl":
         rows = read_jsonl(path)
     else:
-        rows = read_csv(path, [f.name for f in dataclasses.fields(row_type)
-                               if f.default is dataclasses.MISSING])
+        rows = _read_csv(path, [f.name for f in dataclasses.fields(row_type)
+                                if f.default is dataclasses.MISSING])
     for lineno, row in rows:
         try:
             record = build(row)
@@ -247,11 +248,11 @@ def read_records(
         yield record
 
 
-def read_csv(path: str | Path, required: Iterable[str]) -> Iterator[tuple[int, dict]]:
+def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """Yield (lineno, row) for each non-blank record of a CSV file, `row` mapping
-    header columns to fields. `lineno` is the physical line where the record
-    starts. A header without every `required` column, or no header line at all,
-    is a line-1 ManifestError."""
+    header columns to fields, each trimmed. `lineno` is the physical line where
+    the record starts. A header without every `required` column, or no header
+    line at all, is a line-1 ManifestError."""
     with _open_lines(path, newline="") as fh:
         reader = csv.reader(fh)
         start = 1
@@ -265,16 +266,24 @@ def read_csv(path: str | Path, required: Iterable[str]) -> Iterator[tuple[int, d
             start = reader.line_num + 1
             for fields in reader:
                 if fields:
-                    yield start, dict(zip(header, fields))
+                    yield start, dict(zip(header, map(str.strip, fields)))
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise ManifestError(f"line {start}: {exc}") from exc
 
 
 def read_line_list(path: str | Path) -> list[str]:
-    """Stripped non-blank lines of a text file, '#' comment lines skipped."""
+    """Stripped non-blank lines of a text file, '#' comment lines skipped. A line
+    that repeats an earlier one is a ManifestError naming both lines."""
+    first_line: dict[str, int] = {}
     with _open_lines(path) as fh:
-        return [s for s in (line.strip() for line in fh) if s and not s.startswith("#")]
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text and not text.startswith("#"):
+                first = first_line.setdefault(text, lineno)
+                if first != lineno:
+                    raise ManifestError(f"line {lineno}: '{text}' repeats line {first}")
+    return list(first_line)
 
 
 @contextmanager

@@ -99,8 +99,8 @@ def length_stats(examples: list[EvalExample]) -> tuple[float, float]:
 
 def cost_ratio(metric_pct: float, trainable_params: int) -> float:
     """Metric percentage divided by log10 of the parameter count in millions."""
-    if not math.isfinite(metric_pct):
-        raise ValueError(f"metric must be finite, got {metric_pct}")
+    if not (math.isfinite(metric_pct) and 0 <= metric_pct <= 100):
+        raise ValueError(f"metric must be finite and within [0, 100], got {metric_pct}")
     if trainable_params <= 10**6:
         raise ValueError(
             f"trainable_params must exceed 1e6, got {trainable_params}"

@@ -91,7 +91,7 @@ class TestCostRatio:
         assert main(["cost-ratio", "--metric", metric, "--params", params]) == 0
         assert capsys.readouterr().out.strip() == expected
 
-    @pytest.mark.parametrize("metric", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("metric", ["nan", "inf", "-inf", "-5", "250"])
     def test_non_finite_metric_is_an_error(self, capsys, metric):
         assert main(["cost-ratio", f"--metric={metric}", "--params", "187000000"]) == 1
         captured = capsys.readouterr()
@@ -117,6 +117,12 @@ class TestDryRun:
         assert main(["gen-qa", "--dry-run", "--caption", "cap", "--emit", "digest"]) == 0
         out = capsys.readouterr().out.strip()
         assert out == envelope_digest(build_prompt("cap"))
+
+    def test_empty_caption_is_an_error(self, capsys):
+        assert main(["gen-qa", "--dry-run", "--caption", "", "--emit", "digest"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: caption is empty\n"
+        assert captured.out == ""
 
 
 class TestPipelineFlow:
@@ -610,6 +616,68 @@ def test_fewshot_split_rejects_a_test_wsi_that_matches_no_patch(tmp_path, capsys
     assert next(read_jsonl(split))[1]["test_wsis"] == ["w3"]
 
 
+# Patch manifest rows that the schema or its rules refuse, and the start of stderr.
+BAD_PATCH_ROWS = {
+    "unknown-organ": (b"p1,w1,colon,tumor,\n",
+                      "error: line 2: organ must be 'stomach' or 'intestine'"),
+    "unknown-label": (b"p1,w1,stomach,malignant,\n",
+                      "error: line 2: label must be 'tumor' or 'non_tumor'"),
+    "duplicate-patch-id": (b"p1,w1,stomach,tumor,\np1,w2,stomach,tumor,\n",
+                           "error: line 3: duplicate patch_id p1"),
+    "wsi-with-two-organs": (b"p1,w1,stomach,tumor,\np2,w1,intestine,tumor,\n",
+                            "error: line 3: WSI w1 claims organ intestine but was stomach"),
+}
+PATCH_COMMANDS = ["fewshot-split-patches", "to-vqa"]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATCH_ROWS))
+@pytest.mark.parametrize("command", PATCH_COMMANDS)
+def test_patch_row_against_the_schema_is_a_line_numbered_error(tmp_path, capsys, command, case):
+    head, _, _, argv = CSV_INPUTS[command]
+    rows, expected = BAD_PATCH_ROWS[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(head + rows)
+    paths = {**_clinical_inputs(tmp_path), "bad": bad}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected)
+    assert "Traceback" not in err
+    assert not paths["out"].exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", PATCH_COMMANDS)
+def test_padded_patch_fields_give_the_bytes_of_unpadded_ones(tmp_path, command):
+    head, _, _, argv = CSV_INPUTS[command]
+    plain = _clinical_inputs(tmp_path)["patches"].read_bytes()[len(head):]
+    padded = b"".join(b",".join(b" %s\t" % f for f in line.split(b",")) + b"\n"
+                      for line in plain.splitlines())
+    outputs = []
+    for name, rows in (("plain", plain), ("padded", padded)):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_bytes(head + rows)
+        paths = {**_clinical_inputs(tmp_path), "bad": bad, "out": tmp_path / name}
+        assert main([a.format(**paths) for a in argv]) == 0
+        out = paths["out"]
+        outputs.append(sorted((p.name, p.read_bytes()) for p in out.iterdir())
+                       if out.is_dir() else out.read_bytes())
+    assert padded != plain
+    assert outputs[0] == outputs[1]
+
+
+def test_fewshot_split_warns_when_replicates_reuse_training_wsis(tmp_path, capsys):
+    paths = _clinical_inputs(tmp_path)
+    argv = ["fewshot-split", "--organ", "stomach", "--k", "1", "--out-dir", "{out}",
+            "--patches", "{patches}", "--test-wsis", "{wsis}"]
+    # One eligible WSI per class leaves one training set for every replicate.
+    assert main([a.format(**paths) for a in argv] + ["--replicates", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: 2 of 3 replicates reuse an earlier replicate's "
+                            "training WSIs\n")
+    assert captured.out.startswith("built 3 1-shot splits for stomach")
+    assert len(list(paths["out"].glob("*.jsonl"))) == 3
+
+
 # Every line-list input: argv with {bad} as that input.
 LINE_LIST_COMMANDS = {
     "fewshot-split-test-wsis": [*_FEWSHOT_SPLIT, "--patches", "{patches}", "--test-wsis", "{bad}"],
@@ -631,6 +699,21 @@ def test_non_utf8_line_list_is_reported_by_line_number(
     assert code == 1
     assert err.startswith("error: line 3: not UTF-8 (byte 0xff)")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(LINE_LIST_COMMANDS))
+def test_repeated_line_in_a_line_list_names_both_lines(
+    tmp_path, pinned_config, corpus_file, capsys, command
+):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("w3\n# w3\n\nw4\n  w3 \n")
+    paths = {**_clinical_inputs(tmp_path), "bad": bad, "corpus": corpus_file}
+    code = main(["--config", pinned_config,
+                 *(a.format(**paths) for a in LINE_LIST_COMMANDS[command])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: line 5: 'w3' repeats line 1\n"
+    assert not paths["out"].exists()
 
 
 # Input that parses as JSON but holds a wrong value: (bad file lines, sidecar bytes

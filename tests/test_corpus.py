@@ -93,6 +93,16 @@ class TestIngest:
         assert corpus.records[0].captions == ("first caption", "second")
         assert corpus.records[0].source == "web"
 
+    def test_csv_fields_are_trimmed(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "image_id,image_ref,caption,source\n"
+            " A , a.png ,\tfirst caption ,web \nA,a.png,first caption,web\n"
+        )
+        corpus = ingest_manifest(path, "csv")
+        assert corpus.records[0] == ImageTextRecord("A", "a.png", ("first caption",), source="web")
+        assert corpus.meta["duplicate_captions_dropped"] == 1
+
     def test_csv_missing_header_column(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("image_id,image_ref\nA,a.png\n")

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from clover_forge.errors import IntegrityError, ManifestError
+from clover_forge.errors import ManifestError
 from clover_forge.fewshot import (
     CLINICAL_POLARITY,
     VQA_ANSWER_NEGATIVE,
@@ -64,7 +64,7 @@ class TestIngest:
         with pytest.raises(ManifestError, match="line 2"):
             ingest_patches(path)
 
-    def test_wsi_with_two_organs_is_integrity_error(self, tmp_path):
+    def test_wsi_with_two_organs_is_manifest_error(self, tmp_path):
         path = write_manifest(
             tmp_path / "bad.csv",
             [
@@ -72,10 +72,10 @@ class TestIngest:
                 ("p2", "w1", "intestine", "tumor", "r.png"),
             ],
         )
-        with pytest.raises(IntegrityError, match="w1"):
+        with pytest.raises(ManifestError, match="line 3: WSI w1 "):
             ingest_patches(path)
 
-    def test_duplicate_patch_id_rejected(self, tmp_path):
+    def test_duplicate_patch_id_is_manifest_error(self, tmp_path):
         path = write_manifest(
             tmp_path / "bad.csv",
             [
@@ -83,7 +83,7 @@ class TestIngest:
                 ("p1", "w1", "stomach", "tumor", "r.png"),
             ],
         )
-        with pytest.raises(IntegrityError, match="p1"):
+        with pytest.raises(ManifestError, match="line 3: duplicate patch_id p1"):
             ingest_patches(path)
 
     def test_wsi_class_is_tumor_if_any_tumor_patch(self, tmp_path):
