@@ -184,10 +184,10 @@ def cmd_eval_vqa(args, cfg) -> int:
         raise CloverError("--polarity must be two different comma-separated tokens, "
                           f"each lowercase alphanumeric, got '{args.polarity}'")
     examples = metrics.read_examples(args.examples)
-    result = metrics.evaluate(examples, polarity)
-    print(metrics.format_report(result.report))
+    report = metrics.evaluate(examples, polarity)
+    print(metrics.format_report(report))
     if args.report:
-        write_json(args.report, metrics.report_to_obj(result))
+        write_json(args.report, report)
         print(f"report -> {args.report}")
     return 0
 

@@ -1,11 +1,12 @@
 """Run configuration: one table of settings, read from an INI file.
 
-Each setting is a `Config` field whose default is the program's default and
-whose type is the type a file value is parsed as; `SECTIONS` gives the INI
-section of each key. CLI flags that override a key carry the key's name and are
-merged over the file once, before validation. The config path itself can come
-from the CLOVER_CONFIG environment variable. Price rates are configuration,
-never code, since vendor pricing drifts.
+Each setting is declared once, as a `Config` field: its default is the
+program's default, its type is the type a file value is parsed as, and its
+metadata gives its INI section and, for a number, its accepted range. CLI
+flags that override a key carry the key's name and are merged over the file
+once, before validation. The config path itself can come from the
+CLOVER_CONFIG environment variable. Price rates are configuration, never code,
+since vendor pricing drifts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from pathlib import Path
 
@@ -25,39 +26,40 @@ from .generate import DEFAULT_BUDGET_USD, DEFAULT_MAX_CONCURRENCY
 CONFIG_ENV = "CLOVER_CONFIG"
 
 
+def _key(section: str, default, low=None, high=None):
+    """A setting's field: its default, its INI section and, for a number, the
+    lowest and highest values accepted. NaN and infinities are refused too."""
+    return field(default=default, metadata={"section": section, "low": low, "high": high})
+
+
+# Rates multiply token counts. Below this ceiling, no cost of any token count
+# that a config can hold overflows the decimal range.
+_RATE_CEILING = Decimal("1E+308")
+
+
 @dataclass
 class Config:
-    seed: int = 0
-    output_dir: Path = Path("out")
-    created_at: str = ""
-    corpus: str = ""
-    templates: str = ""
-    fixtures: str = ""
-    min_words: int = DEFAULT_MIN_WORDS
-    mode: str = "mock"
-    endpoint: str = ""
-    model: str = "gpt-3.5-turbo"
-    rate_in_usd_per_1k: Decimal = Decimal("0.0015")
-    rate_out_usd_per_1k: Decimal = Decimal("0.002")
-    max_concurrency: int = DEFAULT_MAX_CONCURRENCY
-    max_retries: int = RetryPolicy.max_retries
-    backoff_base_s: float = RetryPolicy.backoff_base_s
-    max_completion_tokens: int = DEFAULT_MAX_COMPLETION_TOKENS
-    budget_usd: Decimal = DEFAULT_BUDGET_USD
-    strict_parse: bool = False
+    seed: int = _key("core", 0, low=0)
+    output_dir: Path = _key("core", Path("out"))
+    created_at: str = _key("core", "")
+    corpus: str = _key("paths", "")
+    templates: str = _key("paths", "")
+    fixtures: str = _key("paths", "")
+    min_words: int = _key("corpus", DEFAULT_MIN_WORDS, low=1)
+    mode: str = _key("backend", "mock")
+    endpoint: str = _key("backend", "")
+    model: str = _key("backend", "gpt-3.5-turbo")
+    rate_in_usd_per_1k: Decimal = _key("backend", Decimal("0.0015"), low=0, high=_RATE_CEILING)
+    rate_out_usd_per_1k: Decimal = _key("backend", Decimal("0.002"), low=0, high=_RATE_CEILING)
+    max_concurrency: int = _key("backend", DEFAULT_MAX_CONCURRENCY, low=1)
+    max_retries: int = _key("backend", RetryPolicy.max_retries, low=0)
+    backoff_base_s: float = _key("backend", RetryPolicy.backoff_base_s, low=0)
+    max_completion_tokens: int = _key("backend", DEFAULT_MAX_COMPLETION_TOKENS, low=1)
+    budget_usd: Decimal = _key("generation", DEFAULT_BUDGET_USD, low=0)
+    strict_parse: bool = _key("generation", False)
 
 
-SECTIONS = {
-    "core": ("seed", "output_dir", "created_at"),
-    "paths": ("corpus", "templates", "fixtures"),
-    "corpus": ("min_words",),
-    "backend": (
-        "mode", "endpoint", "model", "rate_in_usd_per_1k", "rate_out_usd_per_1k",
-        "max_concurrency", "max_retries", "backoff_base_s", "max_completion_tokens",
-    ),
-    "generation": ("budget_usd", "strict_parse"),
-}
-_SECTION_OF = {key: section for section, keys in SECTIONS.items() for key in keys}
+_SECTION_OF = {f.name: f.metadata["section"] for f in fields(Config)}
 
 # How a file value is parsed for each default's type, and what that type is called.
 _KINDS = {
@@ -66,16 +68,6 @@ _KINDS = {
     float: (float, "a number"),
     Decimal: (Decimal, "a decimal"),
 }
-
-# The lowest accepted value of every numeric key; NaN and infinities are refused too.
-_MINIMUM = {
-    **dict.fromkeys(("seed", "max_retries", "backoff_base_s", "budget_usd"), 0),
-    **dict.fromkeys(("rate_in_usd_per_1k", "rate_out_usd_per_1k"), 0),
-    **dict.fromkeys(("min_words", "max_concurrency", "max_completion_tokens"), 1),
-}
-# Rates multiply token counts. Below this ceiling, no cost of any token count
-# that a config can hold overflows the decimal range.
-_MAXIMUM = dict.fromkeys(("rate_in_usd_per_1k", "rate_out_usd_per_1k"), Decimal("1E+308"))
 
 
 def _parse(key: str, raw: str):
@@ -94,7 +86,7 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Co
 
     `flags` maps key names to already-typed flag values; a None value (flag not
     given) and a name that is not a key are skipped. Keys the file sets that
-    are not in `SECTIONS` are ignored.
+    are not `Config` fields are ignored.
     """
     parser = configparser.ConfigParser(interpolation=None)
     path = path or os.environ.get(CONFIG_ENV)
@@ -119,18 +111,19 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Co
 
 
 def validate_config(config: Config) -> None:
-    for key, low in _MINIMUM.items():
-        value = getattr(config, key)
+    for f in fields(Config):
+        low, high = f.metadata["low"], f.metadata["high"]
+        if low is None:
+            continue
+        key, section, value = f.name, f.metadata["section"], getattr(config, f.name)
         # `math.isfinite` would turn a Decimal into a float, and 1E+999999 into inf.
         finite = value.is_finite() if isinstance(value, Decimal) else math.isfinite(value)
         if not (finite and value >= low):
             raise ConfigError(
-                f"config key [{_SECTION_OF[key]}] {key} must be >= {low} and finite, got {value}"
+                f"config key [{section}] {key} must be >= {low} and finite, got {value}"
             )
-        if value > _MAXIMUM.get(key, value):
-            raise ConfigError(
-                f"config key [{_SECTION_OF[key]}] {key} must be <= {_MAXIMUM[key]}, got {value}"
-            )
+        if high is not None and value > high:
+            raise ConfigError(f"config key [{section}] {key} must be <= {high}, got {value}")
     if config.mode not in ("live", "mock"):
         raise ConfigError(f"backend mode must be live or mock, got '{config.mode}'")
     if config.mode == "live" and not config.endpoint:

@@ -191,6 +191,9 @@ def generate_instructions(
             except BackendError as exc:
                 log_skip(record.image_id, f"backend_error: {exc}")
                 continue
+            except Exception as exc:
+                log_skip(record.image_id, f"worker_error: {type(exc).__name__}: {exc}")
+                continue
             ledger.record(receipt.estimated_cost_usd)
             run.receipts.append(receipt)
             try:

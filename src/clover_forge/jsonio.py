@@ -69,6 +69,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # an integer too long to convert
+                raise ManifestError(f"line {lineno}: invalid JSON ({exc})") from exc
             except RecursionError as exc:
                 raise ManifestError(f"line {lineno}: invalid JSON (nested too deeply)") from exc
             if not isinstance(row, dict):
@@ -82,7 +84,7 @@ def read_json(path: str | Path) -> dict:
     try:
         with _open_lines(path) as fh:
             obj = json.load(fh)
-    except (json.JSONDecodeError, ManifestError) as exc:
+    except (ValueError, ManifestError) as exc:
         raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise ManifestError(f"{path}: invalid JSON (nested too deeply)") from exc
@@ -252,7 +254,8 @@ def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator[tuple[int, 
     """Yield (lineno, row) for each non-blank record of a CSV file, `row` mapping
     header columns to fields, each trimmed. `lineno` is the physical line where
     the record starts. A header without every `required` column, or no header
-    line at all, is a line-1 ManifestError."""
+    line at all, is a line-1 ManifestError; a record with more fields than the
+    header is one at its line."""
     with _open_lines(path, newline="") as fh:
         reader = csv.reader(fh)
         start = 1
@@ -265,6 +268,9 @@ def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator[tuple[int, 
                 )
             start = reader.line_num + 1
             for fields in reader:
+                if len(fields) > len(header):
+                    raise ManifestError(f"line {start}: {len(fields)} fields, "
+                                        f"but the header has {len(header)}")
                 if fields:
                     yield start, dict(zip(header, map(str.strip, fields)))
                 start = reader.line_num + 1

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal
+from typing import Iterable, Literal
 
 from .jsonio import read_records
 
@@ -39,6 +39,8 @@ class EvalExample:
 
 @dataclass
 class MetricsReport:
+    """The eval-vqa report document: its fields, in order, are the document's keys."""
+
     closed_accuracy_pct: float | None = None
     open_recall_pct: float | None = None
     recall_pct: float | None = None
@@ -48,6 +50,8 @@ class MetricsReport:
     mean_pred_len: float | None = None
     n_open: int = 0
     n_closed: int = 0
+    warnings: list[str] = field(default_factory=list)
+    per_example: list[dict] = field(default_factory=list)
 
 
 def normalize(text: str) -> list[str]:
@@ -88,73 +92,61 @@ def _closed_correct(ex: EvalExample, polarity: tuple[str, str] = DEFAULT_POLARIT
     return want in tokens and other not in tokens
 
 
-def length_stats(examples: list[EvalExample]) -> tuple[float, float]:
-    """Mean whitespace word counts of references and predictions."""
-    if not examples:
-        raise ValueError("length_stats needs at least one example")
-    ref_mean = sum(len(ex.reference.split()) for ex in examples) / len(examples)
-    pred_mean = sum(len(ex.prediction.split()) for ex in examples) / len(examples)
-    return ref_mean, pred_mean
-
-
 def cost_ratio(metric_pct: float, trainable_params: int) -> float:
     """Metric percentage divided by log10 of the parameter count in millions."""
     if not (math.isfinite(metric_pct) and 0 <= metric_pct <= 100):
         raise ValueError(f"metric must be finite and within [0, 100], got {metric_pct}")
-    if trainable_params <= 10**6:
+    # The count in millions is a float, so the ceiling keeps it finite.
+    if not 10**6 < trainable_params <= 10**308:
         raise ValueError(
-            f"trainable_params must exceed 1e6, got {trainable_params}"
+            f"trainable_params must exceed 1e6 and be at most 1e308, got {trainable_params}"
         )
     return metric_pct / math.log10(trainable_params / 10**6)
 
 
-@dataclass
-class EvalResult:
-    report: MetricsReport
-    per_example: list[dict] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-
 def evaluate(
-    examples: list[EvalExample], polarity: tuple[str, str] = DEFAULT_POLARITY
-) -> EvalResult:
-    """Macro-average the per-example scores into one report.
+    examples: Iterable[EvalExample], polarity: tuple[str, str] = DEFAULT_POLARITY
+) -> MetricsReport:
+    """Score the examples in one pass and macro-average them into one report.
 
     Open examples whose reference normalizes empty are excluded with a warning.
     Fields with no examples of the matching type stay None rather than 0. The
     reported F1 is the harmonic mean of the macro recall and macro precision,
     so it is recomputable from the report itself; per-example F1 values are in
-    the dump.
+    `per_example`, which lists the open rows and then the closed ones.
     """
-    if not examples:
-        raise ValueError("evaluate needs at least one example")
-    result = EvalResult(report=MetricsReport())
-    open_scores: list[tuple[float, float, float]] = []
-    open_examples: list[EvalExample] = []
-    closed_examples: list[EvalExample] = []
+    report = MetricsReport()
+    closed_rows: list[dict] = []
+    recall_sum = precision_sum = 0.0
+    correct = ref_words = pred_words = 0
     for ex in examples:
         if ex.qtype == "closed":
-            closed_examples.append(ex)
-            continue
-        try:
-            r, p, f = prf(ex.reference, ex.prediction)
-        except ValueError:
-            result.warnings.append(
-                f"example {ex.example_id}: reference normalizes empty; excluded"
+            ok = _closed_correct(ex, polarity)
+            correct += ok
+            closed_rows.append({"example_id": ex.example_id, "qtype": "closed", "correct": ok})
+        else:
+            try:
+                r, p, f = prf(ex.reference, ex.prediction)
+            except ValueError:
+                report.warnings.append(
+                    f"example {ex.example_id}: reference normalizes empty; excluded"
+                )
+                continue
+            recall_sum += r
+            precision_sum += p
+            report.per_example.append(
+                {"example_id": ex.example_id, "qtype": "open", "recall": r, "precision": p, "f1": f}
             )
-            continue
-        open_scores.append((r, p, f))
-        open_examples.append(ex)
-        result.per_example.append(
-            {"example_id": ex.example_id, "qtype": "open", "recall": r, "precision": p, "f1": f}
-        )
+        ref_words += len(ex.reference.split())
+        pred_words += len(ex.prediction.split())
+    report.n_open, report.n_closed = len(report.per_example), len(closed_rows)
+    report.per_example += closed_rows
+    if not (report.per_example or report.warnings):
+        raise ValueError("evaluate needs at least one example")
 
-    report = result.report
-    if open_scores:
-        n = len(open_scores)
-        recall = sum(s[0] for s in open_scores) / n
-        precision = sum(s[1] for s in open_scores) / n
-        report.n_open = n
+    if report.n_open:
+        recall = recall_sum / report.n_open
+        precision = precision_sum / report.n_open
         report.open_recall_pct = 100.0 * recall
         report.recall_pct = 100.0 * recall
         report.precision_pct = 100.0 * precision
@@ -163,31 +155,18 @@ def evaluate(
             if precision + recall > 0
             else 0.0
         )
-    if closed_examples:
-        correct = [_closed_correct(ex, polarity) for ex in closed_examples]
-        report.n_closed = len(closed_examples)
-        report.closed_accuracy_pct = 100.0 * sum(correct) / len(correct)
-        result.per_example.extend(
-            {"example_id": ex.example_id, "qtype": "closed", "correct": ok}
-            for ex, ok in zip(closed_examples, correct)
-        )
-    if open_examples or closed_examples:
-        report.mean_ref_len, report.mean_pred_len = length_stats(open_examples + closed_examples)
-    return result
+    if report.n_closed:
+        report.closed_accuracy_pct = 100.0 * correct / report.n_closed
+    if report.per_example:
+        report.mean_ref_len = ref_words / len(report.per_example)
+        report.mean_pred_len = pred_words / len(report.per_example)
+    return report
 
 
 def read_examples(path: str | Path) -> list[EvalExample]:
     """Load eval examples from JSONL rows of (example_id, question, reference,
     prediction, qtype)."""
     return list(read_records(path, EvalExample))
-
-
-def report_to_obj(result: EvalResult) -> dict:
-    return {
-        **asdict(result.report),
-        "warnings": result.warnings,
-        "per_example": result.per_example,
-    }
 
 
 def format_report(report: MetricsReport) -> str:

@@ -239,7 +239,7 @@ def test_criterion_7_metric_properties():
         else:
             pred, expected = "uncertain", False
         example = EvalExample(str(i), want, "closed", question="q?", prediction=pred)
-        assert (evaluate([example]).report.closed_accuracy_pct == 100.0) is expected
+        assert (evaluate([example]).closed_accuracy_pct == 100.0) is expected
 
 
 STOMACH_TEST = [f"stomach_t{i:02d}" for i in (1, 2, 3)] + [

@@ -153,7 +153,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def scripted_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll keeps each teardown's `shutdown()` from waiting up to 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     _ScriptedHandler.statuses = []
     _ScriptedHandler.seen_bodies = []

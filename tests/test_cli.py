@@ -98,6 +98,15 @@ class TestCostRatio:
         assert captured.err.startswith("error: metric must be finite")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("params", ["1000000", "1" + "0" * 308 + "1", "9" * 401],
+                             ids=["1e6", "1e308-plus-1", "401-digits"])
+    def test_params_out_of_range_is_an_error(self, capsys, params):
+        assert main(["cost-ratio", "--metric", "50", "--params", params]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: trainable_params must exceed 1e6 and be at most")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestDryRun:
     def test_envelope_matches_golden_bytes(self, capsys):
@@ -243,6 +252,28 @@ class TestPipelineFlow:
         assert json.loads(report.read_text()) == []
 
 
+def test_worker_exception_skips_its_record_and_the_run_goes_on(
+    tmp_path, pinned_config, corpus_file, capsys
+):
+    fixtures = tmp_path / "fx"
+    stage_fixtures(fixtures, corpus_file)
+    third = json.loads(corpus_file.read_text().splitlines()[2])
+    fixture = fixtures / f"{envelope_digest(build_prompt(third['merged_caption']))}.txt"
+    fixture.unlink()
+    fixture.mkdir()
+    out = tmp_path / "gen.jsonl"
+    code = main(["--config", pinned_config, "gen-qa", "--corpus", str(corpus_file),
+                 "--fixtures", str(fixtures), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    ids = [f"img{i:02d}" for i in range(6) if i != 2]
+    assert [row["image_id"] for _, row in read_jsonl(out)] == ids
+    checkpoint = Path(f"{out}.checkpoint.jsonl")
+    assert [row["image_id"] for _, row in read_jsonl(checkpoint)] == ids
+    [(_, skip)] = read_jsonl(Path(f"{out}.skips.jsonl"))
+    assert skip["image_id"] == "img02"
+    assert skip["reason"].startswith("worker_error: IsADirectoryError: ")
+
+
 class TestEvalVqa:
     def test_report_written_and_table_printed(self, tmp_path, capsys):
         examples = tmp_path / "examples.jsonl"
@@ -262,6 +293,60 @@ class TestEvalVqa:
         assert obj["closed_accuracy_pct"] == 100.0
         assert obj["open_recall_pct"] == 100.0
         assert len(obj["per_example"]) == 2
+
+    def test_report_bytes_are_pinned(self, tmp_path, capsys):
+        examples = tmp_path / "examples.jsonl"
+        rows = [
+            {"example_id": "c1", "reference": "no", "prediction": "No, it is not.",
+             "qtype": "closed"},
+            {"example_id": "o1", "reference": "atypical glands with mucin",
+             "prediction": "glands with mucin and necrosis", "qtype": "open"},
+            {"example_id": "o2", "reference": "???", "prediction": "anything", "qtype": "open"},
+        ]
+        examples.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        report = tmp_path / "report.json"
+        assert main(["eval-vqa", "--examples", str(examples), "--report", str(report)]) == 0
+        assert report.read_bytes() == (
+            b'{\n'
+            b'  "closed_accuracy_pct": 100.0,\n'
+            b'  "open_recall_pct": 75.0,\n'
+            b'  "recall_pct": 75.0,\n'
+            b'  "precision_pct": 60.0,\n'
+            b'  "f1_pct": 66.66666666666666,\n'
+            b'  "mean_ref_len": 2.5,\n'
+            b'  "mean_pred_len": 4.5,\n'
+            b'  "n_open": 1,\n'
+            b'  "n_closed": 1,\n'
+            b'  "warnings": [\n'
+            b'    "example o2: reference normalizes empty; excluded"\n'
+            b'  ],\n'
+            b'  "per_example": [\n'
+            b'    {\n'
+            b'      "example_id": "o1",\n'
+            b'      "qtype": "open",\n'
+            b'      "recall": 0.75,\n'
+            b'      "precision": 0.6,\n'
+            b'      "f1": 0.6666666666666665\n'
+            b'    },\n'
+            b'    {\n'
+            b'      "example_id": "c1",\n'
+            b'      "qtype": "closed",\n'
+            b'      "correct": true\n'
+            b'    }\n'
+            b'  ]\n'
+            b'}\n'
+        )
+        assert capsys.readouterr().out == (
+            "n_open=1 n_closed=1\n"
+            " closed accuracy %: 100.00\n"
+            "     open recall %: 75.00\n"
+            "          recall %: 75.00\n"
+            "       precision %: 60.00\n"
+            "              f1 %: 66.67\n"
+            "    mean ref words: 2.50\n"
+            "   mean pred words: 4.50\n"
+            f"report -> {report}\n"
+        )
 
     @pytest.mark.parametrize("polarity", ["yes,", ",no", "Yes,No", "yes,yes", "yes,no,maybe",
                                           "yes no,no"])
@@ -446,7 +531,8 @@ JSONL_COMMANDS = {
 
 
 @pytest.mark.parametrize(
-    "bad_line", ["not-an-object", "not-json", "missing-key", "not-utf-8", "nested-too-deeply"]
+    "bad_line", ["not-an-object", "not-json", "missing-key", "not-utf-8", "nested-too-deeply",
+                 "integer-too-long"]
 )
 @pytest.mark.parametrize("command", sorted(JSONL_COMMANDS))
 def test_bad_jsonl_line_is_reported_by_line_number(
@@ -459,7 +545,8 @@ def test_bad_jsonl_line_is_reported_by_line_number(
     third = {"not-an-object": b"[1, 2]", "not-json": b"{not json",
              "missing-key": json.dumps(row).encode(),
              "not-utf-8": json.dumps(make_row(3)).encode().replace(b'"', b'"\xff', 1),
-             "nested-too-deeply": b"[" * 100_000}[bad_line]
+             "nested-too-deeply": b"[" * 100_000,
+             "integer-too-long": b'{"n": ' + b"1" * 5000 + b"}"}[bad_line]
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(
         "".join(json.dumps(make_row(n)) + "\n" for n in (1, 2)).encode() + third + b"\n"
@@ -561,6 +648,8 @@ BAD_CSV = {
     "multi-line-field-then-bad-row": (lambda head, row, bad: head + row(1, b'"two\nlines"') + bad,
                                       "error: line 4: missing "),
     "zero-byte": (lambda head, row, bad: b"", "error: line 1: CSV header missing columns: "),
+    "extra-field": (lambda head, row, bad: head + row(1, b"a") + row(2, b"a caption, with a comma"),
+                    "error: line 3: {over} fields, but the header has {width}\n"),
 }
 
 
@@ -579,13 +668,14 @@ def _clinical_inputs(tmp_path):
 def test_bad_csv_line_is_reported_by_line_number(tmp_path, capsys, command, case):
     head, row, rejected, argv = CSV_INPUTS[command]
     make_bad, expected = BAD_CSV[case]
+    width = len(head.split(b","))
     bad = tmp_path / "bad.csv"
     bad.write_bytes(make_bad(head, row, rejected))
     paths = {**_clinical_inputs(tmp_path), "bad": bad}
     code = main([a.format(**paths) for a in argv])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(expected)
+    assert err.startswith(expected.format(over=width + 1, width=width))
     assert "Traceback" not in err
 
 
@@ -772,6 +862,7 @@ BAD_VALUES = {
             ("not-json", b"{\n"),
             ("nested-too-deeply", b"[" * 100_000),
             ("not-utf-8", b'{"seed": "\xff"}\n'),
+            ("integer-too-long", b'{"seed": ' + b"1" * 5000 + b"}\n"),
         )
     },
     "dataset-sidecar-not-an-object": (

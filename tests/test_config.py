@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from clover_forge.cli import build_parser, main
-from clover_forge.config import SECTIONS, Config, load_config
+from clover_forge.config import Config, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CAPTION = " ".join(f"w{j}" for j in range(30))
@@ -35,17 +35,14 @@ def corpus(tmp_path):
     return str(path)
 
 
-def test_sections_place_every_key_once():
-    keys = [key for section_keys in SECTIONS.values() for key in section_keys]
-    assert keys == [f.name for f in dataclasses.fields(Config)]
-
-
 def test_readme_config_block_loads_to_the_defaults(tmp_path):
     block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
     assert load_config(write_config(tmp_path, block)) == Config()
     parser = configparser.ConfigParser()
     parser.read_string(block)
-    assert {section: tuple(parser[section]) for section in parser.sections()} == SECTIONS
+    assert [(key, section) for section in parser.sections() for key in parser[section]] == [
+        (f.name, f.metadata["section"]) for f in dataclasses.fields(Config)
+    ]
 
 
 def test_retired_keys_are_ignored(tmp_path):

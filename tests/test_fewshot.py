@@ -183,7 +183,7 @@ class TestToVqa:
             dataclasses.replace(ex, prediction=ex.reference)
             for ex in to_vqa(ingest_patches(small_manifest))
         ]
-        report = evaluate(examples, CLINICAL_POLARITY).report
+        report = evaluate(examples, CLINICAL_POLARITY)
         assert report.closed_accuracy_pct == 100.0
 
 

@@ -260,6 +260,18 @@ def test_non_utf8_fixture_becomes_backend_skip(tmp_path):
     ]
 
 
+class InterruptedBackend(MockBackend):
+    def complete(self, envelope, max_tokens):
+        raise KeyboardInterrupt
+
+
+def test_keyboard_interrupt_in_a_worker_is_not_a_skip(tmp_path):
+    corpus = corpus_of(3)
+    stage_all(tmp_path / "fx", corpus)
+    with pytest.raises(KeyboardInterrupt):
+        run(corpus, InterruptedBackend(tmp_path / "fx"), tmp_path)
+
+
 def test_concurrency_does_not_change_output(tmp_path):
     corpus = corpus_of(7)
     stage_all(tmp_path / "fx", corpus)

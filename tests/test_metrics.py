@@ -7,7 +7,6 @@ from clover_forge.metrics import (
     EvalExample,
     cost_ratio,
     evaluate,
-    length_stats,
     normalize,
     prf,
     reference_polarity,
@@ -29,7 +28,7 @@ def recall(ref, pred):
 
 
 def closed_pct(examples, *polarity):
-    return evaluate(examples, *polarity).report.closed_accuracy_pct
+    return evaluate(examples, *polarity).closed_accuracy_pct
 
 
 class TestNormalize:
@@ -129,10 +128,12 @@ class TestLengthAndRatio:
             ex("1", " ".join(["w"] * 17), " ".join(["p"] * 4)),
             ex("2", " ".join(["w"] * 19), " ".join(["p"] * 22)),
         ]
-        assert length_stats(examples) == (18.0, 13.0)
+        report = evaluate(examples)
+        assert (report.mean_ref_len, report.mean_pred_len) == (18.0, 13.0)
 
     def test_single_example(self):
-        assert length_stats([ex("1", "a b c", "x")]) == (3.0, 1.0)
+        report = evaluate([ex("1", "a b c", "x")])
+        assert (report.mean_ref_len, report.mean_pred_len) == (3.0, 1.0)
 
     @pytest.mark.parametrize(
         "metric,params,expected",
@@ -162,8 +163,7 @@ class TestEvaluate:
             ex("1", "tumor cells visible", "tumor cells visible"),
             ex("2", "yes", "yes", "closed"),
         ]
-        result = evaluate(examples)
-        report = result.report
+        report = evaluate(examples)
         assert report.open_recall_pct == 100.0
         assert report.recall_pct == 100.0
         assert report.precision_pct == 100.0
@@ -175,10 +175,10 @@ class TestEvaluate:
             ex("1", "alpha beta", "alpha beta"),
             ex("2", "alpha beta", "gamma delta"),
         ]
-        assert evaluate(examples).report.open_recall_pct == pytest.approx(50.0)
+        assert evaluate(examples).open_recall_pct == pytest.approx(50.0)
 
     def test_absent_type_is_none_not_zero(self):
-        report = evaluate([ex("1", "yes", "yes", "closed")]).report
+        report = evaluate([ex("1", "yes", "yes", "closed")])
         assert report.open_recall_pct is None
         assert report.f1_pct is None
         assert report.n_open == 0
@@ -194,20 +194,20 @@ class TestEvaluate:
         open_rows = [r for r in result.per_example if r["qtype"] == "open"]
         recall = sum(r["recall"] for r in open_rows) / len(open_rows)
         precision = sum(r["precision"] for r in open_rows) / len(open_rows)
-        assert result.report.recall_pct == pytest.approx(100 * recall)
-        assert result.report.precision_pct == pytest.approx(100 * precision)
-        assert result.report.f1_pct == pytest.approx(
+        assert result.recall_pct == pytest.approx(100 * recall)
+        assert result.precision_pct == pytest.approx(100 * precision)
+        assert result.f1_pct == pytest.approx(
             100 * 2 * precision * recall / (precision + recall)
         )
         closed_rows = [r for r in result.per_example if r["qtype"] == "closed"]
-        assert result.report.closed_accuracy_pct == pytest.approx(
+        assert result.closed_accuracy_pct == pytest.approx(
             100 * sum(r["correct"] for r in closed_rows) / len(closed_rows)
         )
 
     def test_unscorable_reference_excluded_with_warning(self):
         examples = [ex("bad", "???", "tokens"), ex("good", "alpha", "alpha")]
         result = evaluate(examples)
-        assert result.report.n_open == 1
+        assert result.n_open == 1
         assert any("bad" in w for w in result.warnings)
 
     def test_empty_input_rejected(self):
