@@ -15,12 +15,12 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Protocol
 
+from .config import DEFAULT_MAX_COMPLETION_TOKENS, Config
 from .errors import BackendError, ConfigError, TransientBackendError
 from .jsonio import decode
 from .prompts import PromptEnvelope, envelope_digest
 
 API_KEY_ENV = "CLOVER_API_KEY"
-DEFAULT_MAX_COMPLETION_TOKENS = 512
 BACKOFF_FACTOR = 2.0
 LIVE_TIMEOUT_S = 60.0
 
@@ -58,8 +58,8 @@ class GenerationReceipt:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    max_retries: int = 5
-    backoff_base_s: float = 1.0
+    max_retries: int = Config.max_retries
+    backoff_base_s: float = Config.backoff_base_s
 
     def delay(self, attempt: int) -> float:
         return self.backoff_base_s * BACKOFF_FACTOR**attempt
@@ -119,6 +119,7 @@ class LiveBackend:
         self.backend_id = f"live:{endpoint}#{model}"
 
     def complete(self, envelope: PromptEnvelope, max_tokens: int) -> BackendResponse:
+        import http.client
         import urllib.error
         import urllib.request  # loaded by the first live call, not by every subcommand
 
@@ -138,7 +139,7 @@ class LiveBackend:
         )
         try:
             with urllib.request.urlopen(request, timeout=LIVE_TIMEOUT_S) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
+                raw = resp.read()
         except urllib.error.HTTPError as exc:
             exc.close()  # the error holds the response and its connection
             if exc.code == 429 or exc.code >= 500:
@@ -146,12 +147,15 @@ class LiveBackend:
                     f"backend returned HTTP {exc.code}", status=exc.code
                 ) from exc
             raise BackendError(f"backend returned HTTP {exc.code}", status=exc.code) from exc
-        except (urllib.error.URLError, TimeoutError) as exc:
+        except (urllib.error.URLError, TimeoutError, ConnectionError,
+                http.client.HTTPException) as exc:
+            # A dropped connection or a body cut short is retried like a 503.
             raise TransientBackendError(f"network error: {exc}") from exc
 
         # Usage counts are billed, so they are checked as a row is: each one
         # present is a non-negative integer or null.
         try:
+            payload = json.loads(raw.decode("utf-8"))
             text = payload["choices"][0]["message"]["content"]
             return decode(BackendResponse, {**(payload.get("usage") or {}), "text": text})
         except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -2,35 +2,35 @@
 
 Outputs land under the configured directory unless a flag says otherwise;
 every subcommand honors --seed and prints a one-line summary. Exit status:
-0 success, 1 operational error, 2 usage error.
+0 success, 1 operational error, 2 usage error. Each handler imports the
+modules it runs, so a process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
 
-from . import backends, config as config_mod, corpus as corpus_mod, fewshot, generate
-from . import instructions as instr_mod
-from . import metrics, prompts, templates
+from . import config as config_mod
 from .errors import CloverError
-from .jsonio import encode_document, read_line_list, read_records, write_json, write_jsonl
 
 
 def _created_at(cfg: config_mod.Config) -> str:
+    from datetime import datetime, timezone
     return cfg.created_at or datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _read_fewshot(path: str | None) -> list[tuple[str, str]]:
+    from . import jsonio, prompts
     if not path:
         return []
-    return [(p.user, p.assistant) for p in read_records(path, prompts.FewShotPair)]
+    return [(p.user, p.assistant) for p in jsonio.read_records(path, prompts.FewShotPair)]
 
 
 def _build_backend(cfg: config_mod.Config):
+    from . import backends
     if cfg.fixtures:
         return backends.MockBackend(cfg.fixtures)
     if cfg.mode == "mock":
@@ -59,6 +59,7 @@ def _corpus_path(cfg: config_mod.Config) -> str:
 # --- subcommand handlers -----------------------------------------------------
 
 def cmd_ingest(args, cfg) -> int:
+    from . import corpus as corpus_mod
     corpus = corpus_mod.ingest_manifest(args.manifest, args.format)
     ingested = len(corpus)
     dropped = corpus.meta.get("duplicate_captions_dropped", 0)
@@ -75,6 +76,7 @@ def cmd_ingest(args, cfg) -> int:
 
 
 def cmd_gen_template(args, cfg) -> int:
+    from . import corpus as corpus_mod, instructions as instr_mod, templates
     corpus = corpus_mod.read_corpus(_corpus_path(cfg))
     bank = templates.load_bank(cfg.templates) if cfg.templates else templates.default_bank()
     items = templates.build_template_instructions(
@@ -88,13 +90,14 @@ def cmd_gen_template(args, cfg) -> int:
 
 
 def cmd_gen_qa(args, cfg) -> int:
+    from . import backends, corpus as corpus_mod, generate, instructions as instr_mod, jsonio, prompts
     fewshot_pairs = _read_fewshot(args.fewshot)
     if args.dry_run:
         envelope = prompts.build_prompt(args.caption, fewshot_pairs)
         if args.emit == "digest":
             print(prompts.envelope_digest(envelope))
         else:
-            sys.stdout.write(encode_document(envelope))
+            sys.stdout.write(jsonio.encode_document(envelope))
         return 0
     corpus = corpus_mod.read_corpus(_corpus_path(cfg))
     backend = _build_backend(cfg)
@@ -128,6 +131,7 @@ def cmd_gen_qa(args, cfg) -> int:
 
 
 def cmd_lint(args, cfg) -> int:
+    from . import instructions as instr_mod, jsonio, prompts
     ds = instr_mod.read_dataset(args.instructions)
     rows = []
     total = 0
@@ -138,12 +142,13 @@ def cmd_lint(args, cfg) -> int:
             rows.append({"instruction_id": it.instruction_id, "image_id": it.image_id,
                          "violations": report.violations})
     if args.out:
-        write_json(args.out, rows)
+        jsonio.write_json(args.out, rows)
     print(f"linted {len(ds)} instructions: {len(rows)} dirty, {total} violations")
     return 0
 
 
 def cmd_assemble(args, cfg) -> int:
+    from . import instructions as instr_mod
     gen = instr_mod.read_dataset(args.gen)
     tmpl = instr_mod.read_dataset(args.tmpl)
     hybrid = instr_mod.assemble_hybrid(gen, tmpl)
@@ -158,6 +163,7 @@ def cmd_assemble(args, cfg) -> int:
 
 
 def cmd_split_subsets(args, cfg) -> int:
+    from . import instructions as instr_mod
     ds = instr_mod.read_dataset(args.dataset)
     subsets = instr_mod.split_subsets(ds, args.k, cfg.seed)
     out_dir = _out_path(args.out_dir, cfg, "subsets")
@@ -169,6 +175,7 @@ def cmd_split_subsets(args, cfg) -> int:
 
 
 def cmd_sample_scale(args, cfg) -> int:
+    from . import instructions as instr_mod
     ds = instr_mod.read_dataset(args.dataset)
     sampled = instr_mod.sample_scale(ds, args.size, cfg.seed)
     out = _out_path(args.out, cfg, "sampled_instructions.jsonl")
@@ -178,6 +185,7 @@ def cmd_sample_scale(args, cfg) -> int:
 
 
 def cmd_eval_vqa(args, cfg) -> int:
+    from . import jsonio, metrics
     polarity = tuple(args.polarity.split(","))
     if (len(polarity) != 2 or polarity[0] == polarity[1]
             or any(metrics.normalize(p) != [p] for p in polarity)):
@@ -187,20 +195,22 @@ def cmd_eval_vqa(args, cfg) -> int:
     report = metrics.evaluate(examples, polarity)
     print(metrics.format_report(report))
     if args.report:
-        write_json(args.report, report)
+        jsonio.write_json(args.report, report)
         print(f"report -> {args.report}")
     return 0
 
 
 def cmd_cost_ratio(args, cfg) -> int:
+    from . import metrics
     ratio = metrics.cost_ratio(args.metric, args.params)
     print(f"{ratio:.2f}")
     return 0
 
 
 def cmd_fewshot_split(args, cfg) -> int:
+    from . import fewshot, jsonio
     patches = fewshot.ingest_patches(args.patches)
-    test_wsis = read_line_list(args.test_wsis)
+    test_wsis = jsonio.read_line_list(args.test_wsis)
     splits = fewshot.make_kshot(
         patches, args.organ, args.k, test_wsis, cfg.seed, args.replicates
     )
@@ -222,28 +232,29 @@ def cmd_fewshot_split(args, cfg) -> int:
 
 
 def cmd_to_vqa(args, cfg) -> int:
+    from . import fewshot, jsonio
     patches = fewshot.ingest_patches(args.patches)
     examples = fewshot.to_vqa(patches)
     out = _out_path(args.out, cfg, "clinical_vqa.jsonl")
-    write_jsonl(out, examples)
+    jsonio.write_jsonl(out, examples)
     print(f"rendered {len(examples)} patches as VQA records -> {out}")
     return 0
 
 
 def cmd_kernel_check(args, cfg) -> int:
-    from . import losses  # numpy loads here, not in every subcommand
-
+    from . import jsonio, losses
     report = losses.run_kernel_check(seed=cfg.seed)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status} {check['name']}: max_error={check['max_error']:.3e} tol={check['tolerance']:.0e}")
     out = _out_path(args.out, cfg, "kernel_report.json")
-    write_json(out, report)
+    jsonio.write_json(out, report)
     print(f"kernel-check {'passed' if report['passed'] else 'FAILED'} -> {out}")
     return 0 if report["passed"] else 1
 
 
 def cmd_cost_estimate(args, cfg) -> int:
+    from . import backends, corpus as corpus_mod, generate
     corpus = corpus_mod.read_corpus(_corpus_path(cfg))
     rates = backends.CostRates(cfg.rate_in_usd_per_1k, cfg.rate_out_usd_per_1k)
     total = generate.estimate_run_cost(
@@ -270,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="read an image-caption manifest, merge and filter")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--format", choices=corpus_mod.MANIFEST_FORMATS, default="jsonl")
+    p.add_argument("--format", choices=config_mod.MANIFEST_FORMATS, default="jsonl")
     p.add_argument("--min-words", type=int)
     p.add_argument("--sample", type=int)
     p.add_argument("--out")
@@ -334,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fewshot-split", help="build K-shot WSI-grouped clinical splits")
     p.add_argument("--patches", required=True)
-    p.add_argument("--organ", choices=fewshot.ORGANS, required=True)
+    p.add_argument("--organ", choices=config_mod.ORGANS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--test-wsis", required=True)
     p.add_argument("--replicates", type=int, default=5)

@@ -6,7 +6,8 @@ metadata gives its INI section and, for a number, its accepted range. CLI
 flags that override a key carry the key's name and are merged over the file
 once, before validation. The config path itself can come from the
 CLOVER_CONFIG environment variable. Price rates are configuration, never code,
-since vendor pricing drifts.
+since vendor pricing drifts. This module imports only `errors`: the library
+modules import their defaults and choice lists from it, not the reverse.
 """
 
 from __future__ import annotations
@@ -17,13 +18,19 @@ import os
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from pathlib import Path
+from typing import Literal, get_args
 
-from .backends import DEFAULT_MAX_COMPLETION_TOKENS, RetryPolicy
-from .corpus import DEFAULT_MIN_WORDS
 from .errors import ConfigError
-from .generate import DEFAULT_BUDGET_USD, DEFAULT_MAX_CONCURRENCY
 
 CONFIG_ENV = "CLOVER_CONFIG"
+
+MANIFEST_FORMATS = ("jsonl", "csv")
+Organ = Literal["stomach", "intestine"]
+ORGANS = get_args(Organ)
+DEFAULT_MIN_WORDS = 25
+DEFAULT_MAX_COMPLETION_TOKENS = 512
+DEFAULT_BUDGET_USD = Decimal("8.00")
+DEFAULT_MAX_CONCURRENCY = 4
 
 
 def _key(section: str, default, low=None, high=None):
@@ -52,8 +59,8 @@ class Config:
     rate_in_usd_per_1k: Decimal = _key("backend", Decimal("0.0015"), low=0, high=_RATE_CEILING)
     rate_out_usd_per_1k: Decimal = _key("backend", Decimal("0.002"), low=0, high=_RATE_CEILING)
     max_concurrency: int = _key("backend", DEFAULT_MAX_CONCURRENCY, low=1)
-    max_retries: int = _key("backend", RetryPolicy.max_retries, low=0)
-    backoff_base_s: float = _key("backend", RetryPolicy.backoff_base_s, low=0)
+    max_retries: int = _key("backend", 5, low=0)
+    backoff_base_s: float = _key("backend", 1.0, low=0)
     max_completion_tokens: int = _key("backend", DEFAULT_MAX_COMPLETION_TOKENS, low=1)
     budget_usd: Decimal = _key("generation", DEFAULT_BUDGET_USD, low=0)
     strict_parse: bool = _key("generation", False)
@@ -94,8 +101,9 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Co
         path = Path(path)
         try:
             parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from exc
+        except (configparser.Error, OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or " ".join(str(exc).split())
+            raise ConfigError(f"config file {path}: {reason}") from exc
     values = {
         key: _parse(key, parser.get(section, key))
         for key, section in _SECTION_OF.items()

@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .config import DEFAULT_MIN_WORDS, MANIFEST_FORMATS
 from .errors import ManifestError
 from .jsonio import read_records, write_jsonl
 from .sampling import sample_indices
-
-MANIFEST_FORMATS = ("jsonl", "csv")
-DEFAULT_MIN_WORDS = 25
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, get_args
 
+from .config import ORGANS, Organ
 from .jsonio import read_records, write_jsonl
 from .metrics import EvalExample
 from .sampling import derive_seed, draw
 
-Organ = Literal["stomach", "intestine"]
 Label = Literal["tumor", "non_tumor"]
-ORGANS, LABELS = get_args(Organ), get_args(Label)
+LABELS = get_args(Label)
 
 VQA_QUESTION = "Is this pathological image showing a negative or positive result?"
 VQA_ANSWER_NEGATIVE = "this is a negative pathological image"

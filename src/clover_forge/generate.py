@@ -20,7 +20,6 @@ from decimal import Decimal
 from pathlib import Path
 
 from .backends import (
-    DEFAULT_MAX_COMPLETION_TOKENS,
     CompletionBackend,
     CostRates,
     GenerationReceipt,
@@ -28,14 +27,13 @@ from .backends import (
     complete,
     estimate_prompt_tokens,
 )
+from .config import DEFAULT_BUDGET_USD, DEFAULT_MAX_COMPLETION_TOKENS, DEFAULT_MAX_CONCURRENCY
 from .corpus import Corpus
 from .errors import BackendError, BudgetExceededError, CloverError, ParseError
 from .instructions import Instruction, Provenance, make_instruction
 from .jsonio import encode_row, read_records
 from .prompts import PromptEnvelope, build_prompt, envelope_digest, lint_qa, parse_qa
 
-DEFAULT_BUDGET_USD = Decimal("8.00")
-DEFAULT_MAX_CONCURRENCY = 4
 # Admitted-but-uncommitted records per worker: with one, workers idle behind
 # every slow request; eight keeps them busy under heavy-tailed latency.
 WINDOW_PER_WORKER = 8

@@ -123,7 +123,11 @@ class TestComplete:
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    statuses: list[int] = []
+    """Answers each POST with the next scripted status, then with 200s. Besides
+    HTTP statuses, a script may hold "drop" (close the connection without a
+    response), "truncate" (send half the promised body) or raw body bytes."""
+
+    statuses: list[int | str | bytes] = []
     seen_bodies: list[dict] = []
     usage: dict = {}
 
@@ -131,7 +135,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).seen_bodies.append(body)
         status = type(self).statuses.pop(0) if type(self).statuses else 200
-        if status != 200:
+        if status == "drop":
+            return
+        if isinstance(status, int) and status != 200:
             self.send_response(status)
             self.end_headers()
             return
@@ -139,12 +145,12 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             "choices": [{"message": {"content": "Question: q? Answer: served."}}],
             "usage": type(self).usage,
         }
-        raw = json.dumps(payload).encode()
+        raw = status if isinstance(status, bytes) else json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
-        self.wfile.write(raw)
+        self.wfile.write(raw[: len(raw) // 2] if status == "truncate" else raw)
 
     def log_message(self, *args):
         pass
@@ -180,6 +186,26 @@ class TestLiveBackend:
         assert receipt.prompt_tokens == 42
         assert receipt.completion_tokens == 7
         assert _ScriptedHandler.seen_bodies[0]["max_tokens"] == 256
+
+    @pytest.mark.parametrize("failure", ["drop", "truncate"])
+    def test_dropped_or_truncated_response_is_retried(self, monkeypatch, scripted_server, failure):
+        monkeypatch.setenv("CLOVER_API_KEY", "test-key")
+        _ScriptedHandler.statuses = [failure]
+        backend = LiveBackend(scripted_server, "gpt-3.5-turbo")
+        text, receipt = complete(build_prompt("caption"), backend, FAST, RATES, 256)
+        assert text == "Question: q? Answer: served."
+        assert receipt.retries == 1
+        assert len(_ScriptedHandler.seen_bodies) == 2
+
+    @pytest.mark.parametrize("body", [b"<html>busy</html>", b"\xff\xfe"], ids=["not-json", "not-utf-8"])
+    def test_body_that_is_not_json_is_malformed(self, monkeypatch, scripted_server, body):
+        monkeypatch.setenv("CLOVER_API_KEY", "test-key")
+        _ScriptedHandler.statuses = [body]
+        backend = LiveBackend(scripted_server, "gpt-3.5-turbo")
+        with pytest.raises(BackendError, match="^malformed backend response: ") as err:
+            complete(build_prompt("caption"), backend, FAST, RATES, 256)
+        assert not isinstance(err.value, TransientBackendError)
+        assert len(_ScriptedHandler.seen_bodies) == 1
 
     def test_400_is_permanent(self, monkeypatch, scripted_server):
         monkeypatch.setenv("CLOVER_API_KEY", "test-key")

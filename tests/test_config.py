@@ -194,6 +194,18 @@ def test_malformed_file_is_an_error_naming_the_file(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, reason",
+    [("absent.ini", "No such file or directory"), ("", "Is a directory")],
+    ids=["missing", "directory"],
+)
+def test_unreadable_config_path_is_an_error_naming_the_file(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    code = main(["--config", str(path), *COST_RATIO])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config file {path}: {reason}\n"
+
+
 @pytest.mark.parametrize("argv", [["gen-qa", "--dry-run"], ["cost-estimate"]])
 def test_unparsable_budget_flag_is_a_usage_error(capsys, argv):
     assert main([*argv, "--budget", "abc"]) == 2
