@@ -46,7 +46,7 @@ class CostRates:
         ) / Decimal(1000)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationReceipt:
     image_id: str
     prompt_tokens: int

@@ -88,6 +88,25 @@ def _parse(key: str, raw: str):
         ) from exc
 
 
+def _file_error(exc: Exception) -> str:
+    """Why a config file could not be read, worded from the exception's fields,
+    since configparser's own message names the file a second time."""
+    if isinstance(exc, OSError) and exc.strerror:
+        return exc.strerror
+    if isinstance(exc, UnicodeDecodeError):
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        return f"line {lineno}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: no [section] header above this line"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] repeats an earlier one"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: key {exc.option} repeats in section [{exc.section}]"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: not a [section] header or a key = value line"
+    return " ".join(str(exc).split())
+
+
 def load_config(path: str | Path | None = None, flags: dict | None = None) -> Config:
     """Build a validated Config from defaults, an optional file and CLI flags.
 
@@ -102,8 +121,7 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Co
         try:
             parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
         except (configparser.Error, OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or " ".join(str(exc).split())
-            raise ConfigError(f"config file {path}: {reason}") from exc
+            raise ConfigError(f"config file {path}: {_file_error(exc)}") from exc
     values = {
         key: _parse(key, parser.get(section, key))
         for key, section in _SECTION_OF.items()

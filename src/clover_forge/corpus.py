@@ -17,7 +17,7 @@ from .jsonio import read_records, write_jsonl
 from .sampling import sample_indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageTextRecord:
     """One image with its captions; merged_caption is empty until merged."""
 

@@ -23,7 +23,7 @@ Kind = Literal["generation", "template"]
 KINDS = get_args(Kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     method: str = ""
     model: str | None = None
@@ -31,7 +31,7 @@ class Provenance:
     created_at: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     instruction_id: str
     image_id: str

@@ -6,15 +6,18 @@ object per line, blank lines skipped; CSV has a header line, and each field is
 trimmed of surrounding whitespace. `read_records(path, RowType)` is the one row
 checker: the row type is a frozen dataclass whose annotations are the row's
 schema, resolved once per type, and every row is checked against it and built
-into an instance. The writers are its inverse: a dataclass row is written as
-the object of its fields, a `Decimal` as its string. Every output is UTF-8 with
-non-ASCII text kept as is: a JSONL row is one compact line, a JSON document is
-indented by two spaces. Both are streamed: JSONL a row at a time, a document as
-the bytes of `encode_document` in bounded batches of encoder chunks, so memory
-does not grow with the file. Each is written to a temp file beside its target
-and renamed over it, so a failed write leaves the previous file untouched. The
-append-only generation journals (checkpoint and skip log) are the one exception
-and live in `generate`.
+into an instance, a `Literal` field getting the annotation's own string so
+that all rows share it. The writers are its inverse: a dataclass row, slotted
+or not, is written as the object of its fields in declaration order, read by
+name through a field-name tuple cached per type, and a `Decimal` as its
+string. Every output is UTF-8 with non-ASCII text kept as is: a JSONL row is
+one compact line, a JSON document is indented by two spaces. Both are
+streamed: JSONL a row at a time, a document as the bytes of `encode_document`
+in bounded batches of encoder chunks, so memory does not grow with the file.
+Each is written to a temp file beside its target and renamed over it, so a
+failed write leaves the previous file untouched. The append-only generation
+journals (checkpoint and skip log) are the one exception and live in
+`generate`.
 """
 
 from __future__ import annotations
@@ -152,7 +155,14 @@ def _check_for(hint) -> Callable:
     if hint in _SCALARS:
         return _SCALARS[hint]
     if origin is typing.Literal:
-        return _test(" or ".join(map(repr, args)), lambda v: type(v) is str and v in args)
+        # The annotation's own string, so that every row holds one shared object.
+        own, need = {a: a for a in args}, " or ".join(map(repr, args))
+
+        def literal(value):
+            if type(value) is not str or value not in own:
+                raise _Bad(need)
+            return own[value]
+        return literal
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         check = _check_for(args[0] if args[1] is type(None) else args[1])
 
@@ -311,20 +321,23 @@ def atomic_open(path: str | Path):
         raise
 
 
+@functools.cache
+def _field_names(row_type: type) -> tuple[str, ...]:
+    """A dataclass's field names in declaration order; a TypeError for any other type."""
+    return tuple(f.name for f in dataclasses.fields(row_type))
+
+
 def _encodable(obj):
-    """The encoders' `default`, `_builder`'s inverse: a dataclass row is the object
-    of its fields in declaration order (its `__dict__`, unless that also holds a
-    cached property), and a `Decimal` is its string."""
+    """The encoders' `default`, `_builder`'s inverse: a `Decimal` is its string,
+    and a dataclass row, slotted or not, is the object of its fields in
+    declaration order, read by name, so a cached property is never written."""
+    if isinstance(obj, Decimal):
+        return str(obj)
     try:
-        fields = type(obj).__dataclass_fields__
-    except AttributeError:
-        if isinstance(obj, Decimal):
-            return str(obj)
+        names = _field_names(type(obj))
+    except TypeError:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable") from None
-    state = vars(obj)
-    if len(state) == len(fields):
-        return state
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {name: getattr(obj, name) for name in names}
 
 
 encode_row = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), default=_encodable).encode

@@ -21,7 +21,7 @@ DEFAULT_POLARITY = ("yes", "no")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalExample:
     """One scored row; `question` and `prediction` may be absent from a row
     and read as empty."""
@@ -35,6 +35,26 @@ class EvalExample:
     def __post_init__(self):
         if not self.reference.strip():
             raise ValueError(f"example {self.example_id}: empty reference")
+
+
+@dataclass(slots=True)
+class OpenScore:
+    """An open example's token scores: one `per_example` row."""
+
+    example_id: str
+    qtype: Literal["open"] = field(default="open", init=False)
+    recall: float
+    precision: float
+    f1: float
+
+
+@dataclass(slots=True)
+class ClosedScore:
+    """A closed example's verdict: one `per_example` row."""
+
+    example_id: str
+    qtype: Literal["closed"] = field(default="closed", init=False)
+    correct: bool
 
 
 @dataclass
@@ -51,7 +71,7 @@ class MetricsReport:
     n_open: int = 0
     n_closed: int = 0
     warnings: list[str] = field(default_factory=list)
-    per_example: list[dict] = field(default_factory=list)
+    per_example: list[OpenScore | ClosedScore] = field(default_factory=list)
 
 
 def normalize(text: str) -> list[str]:
@@ -86,7 +106,10 @@ def reference_polarity(ref: str, polarity: tuple[str, str] = DEFAULT_POLARITY) -
 def _closed_correct(ex: EvalExample, polarity: tuple[str, str] = DEFAULT_POLARITY) -> bool:
     """A closed prediction is correct iff it contains the reference polarity
     token and not the opposite one; carrying both scores incorrect."""
-    want = reference_polarity(ex.reference, polarity)
+    try:
+        want = reference_polarity(ex.reference, polarity)
+    except ValueError as exc:
+        raise ValueError(f"example {ex.example_id}: {exc}") from None
     other = polarity[1] if want == polarity[0] else polarity[0]
     tokens = set(normalize(ex.prediction))
     return want in tokens and other not in tokens
@@ -113,17 +136,19 @@ def evaluate(
     Fields with no examples of the matching type stay None rather than 0. The
     reported F1 is the harmonic mean of the macro recall and macro precision,
     so it is recomputable from the report itself; per-example F1 values are in
-    `per_example`, which lists the open rows and then the closed ones.
+    `per_example`, which lists an `OpenScore` per open row and then a
+    `ClosedScore` per closed one. A closed reference without exactly one
+    polarity token is a ValueError that names its example.
     """
     report = MetricsReport()
-    closed_rows: list[dict] = []
+    closed_rows: list[ClosedScore] = []
     recall_sum = precision_sum = 0.0
     correct = ref_words = pred_words = 0
     for ex in examples:
         if ex.qtype == "closed":
             ok = _closed_correct(ex, polarity)
             correct += ok
-            closed_rows.append({"example_id": ex.example_id, "qtype": "closed", "correct": ok})
+            closed_rows.append(ClosedScore(ex.example_id, ok))
         else:
             try:
                 r, p, f = prf(ex.reference, ex.prediction)
@@ -134,9 +159,7 @@ def evaluate(
                 continue
             recall_sum += r
             precision_sum += p
-            report.per_example.append(
-                {"example_id": ex.example_id, "qtype": "open", "recall": r, "precision": p, "f1": f}
-            )
+            report.per_example.append(OpenScore(ex.example_id, r, p, f))
         ref_words += len(ex.reference.split())
         pred_words += len(ex.prediction.split())
     report.n_open, report.n_closed = len(report.per_example), len(closed_rows)

@@ -57,7 +57,7 @@ class PromptEnvelope:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAPair:
     question: str
     answer: str

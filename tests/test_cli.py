@@ -360,6 +360,17 @@ class TestEvalVqa:
         assert captured.err.startswith("error: --polarity must be two different")
         assert captured.out == ""
 
+    def test_bad_closed_reference_names_its_example(self, tmp_path, capsys):
+        examples = tmp_path / "examples.jsonl"
+        examples.write_text(json.dumps({"example_id": "c7", "reference": "maybe",
+                                        "prediction": "yes", "qtype": "closed"}) + "\n")
+        code = main(["eval-vqa", "--examples", str(examples)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error: example c7: closed reference must contain exactly "
+                                "one of ('yes', 'no'): 'maybe'\n")
+        assert captured.out == ""
+
 
 class TestClinicalCommands:
     def test_fewshot_split_and_to_vqa(self, tmp_path, clinical_manifest, capsys):

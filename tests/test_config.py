@@ -178,12 +178,17 @@ def test_percent_in_a_value_is_literal(tmp_path):
     assert main(["--config", path, *COST_RATIO]) == 0
 
 
-@pytest.mark.parametrize(
-    "text",
-    [b"seed = 3\n", b"[core]\nseed = 1\n[core]\nseed = 2\n", b"[core]\nseed\n",
-     b"[core]\nseed = \xff\n"],
-    ids=["no-section-header", "duplicate-section", "line-without-value", "not-utf-8"],
-)
+# A malformed config file's bytes and the line that its error names.
+MALFORMED = {
+    "no-section-header": (b"seed = 3\n", 1),
+    "duplicate-section": (b"[core]\nseed = 1\n[core]\nseed = 2\n", 3),
+    "line-without-value": (b"[core]\nseed\n", 2),
+    "not-utf-8": (b"[core]\nseed = \xff\n", 2),
+    "duplicate-key": (b"[core]\nseed = 1\nseed = 2\n", 3),
+}
+
+
+@pytest.mark.parametrize("text", [text for text, _ in MALFORMED.values()], ids=list(MALFORMED))
 def test_malformed_file_is_an_error_naming_the_file(tmp_path, capsys, text):
     path = tmp_path / "c.ini"
     path.write_bytes(text)
@@ -192,6 +197,16 @@ def test_malformed_file_is_an_error_naming_the_file(tmp_path, capsys, text):
     assert code == 1
     assert err.startswith(f"error: config file {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_file_error_names_the_file_once_and_the_line(tmp_path, capsys, text, line):
+    path = tmp_path / "c.ini"
+    path.write_bytes(text)
+    assert main(["--config", str(path), *COST_RATIO]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path}: line {line}: ")
+    assert err.count(str(path)) == 1
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,8 @@ from clover_forge.jsonio import (
     write_json,
     write_jsonl,
 )
-from clover_forge.metrics import EvalExample
-from clover_forge.prompts import FewShotPair, build_prompt
+from clover_forge.metrics import ClosedScore, EvalExample, MetricsReport, OpenScore
+from clover_forge.prompts import FewShotPair, QAPair, build_prompt
 
 
 def test_read_jsonl_skips_blank_lines_and_keeps_file_line_numbers(tmp_path):
@@ -248,6 +248,60 @@ def test_written_rows_read_back_equal_with_the_bytes_of_asdict(row_type, data):
         write_jsonl(path, rows)
         assert path.read_text(encoding="utf-8") == "".join(map(_asdict_line, rows))
         assert list(read_records(path, row_type)) == rows
+
+
+_SCORE = st.floats(min_value=0, max_value=1)
+SCORE_ROWS = st.builds(OpenScore, _TEXT, _SCORE, _SCORE, _SCORE) | st.builds(
+    ClosedScore, _TEXT, st.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.lists(SCORE_ROWS, max_size=4))
+def test_written_score_rows_have_the_bytes_of_asdict(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        write_jsonl(path, rows)
+        assert path.read_text(encoding="utf-8") == "".join(map(_asdict_line, rows))
+    report = MetricsReport(per_example=rows)
+    assert encode_document(report) == json.dumps(
+        dataclasses.asdict(report), ensure_ascii=False, indent=2) + "\n"
+
+
+# One row of each type that a subcommand holds in bulk.
+BULK_ROWS = [
+    make_instruction("i", "generation", [("q", "a")], Provenance()),
+    Provenance(),
+    QAPair("q", "a"),
+    GenerationReceipt("i", 1, 2, Decimal("0.0015"), "b", 0),
+    EvalExample("e", "yes", "closed"),
+    ImageTextRecord("i"),
+    OpenScore("e", 1.0, 1.0, 1.0),
+    ClosedScore("e", True),
+]
+
+
+@pytest.mark.parametrize("row", BULK_ROWS, ids=lambda row: type(row).__name__)
+def test_bulk_row_types_hold_no_dict(row):
+    assert not hasattr(row, "__dict__")
+
+
+@pytest.mark.parametrize("row_type, key", [(Instruction, "kind"), (EvalExample, "qtype")],
+                         ids=["Instruction", "EvalExample"])
+def test_rows_read_from_one_file_share_their_literal_string(tmp_path, row_type, key):
+    path = tmp_path / "rows.jsonl"
+    path.write_text((json.dumps(ROW_TYPES[row_type][0]) + "\n") * 2)
+    first, second = read_records(path, row_type)
+    assert getattr(first, key) is getattr(second, key)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _OneField:
+    x: object
+
+
+def test_a_one_field_slotted_row_is_written_as_its_object():
+    assert encode_row(_OneField(3)) == '{"x":3}'
+    assert encode_row([_OneField(("a", "b"))]) == '[{"x":["a","b"]}]'
 
 
 _PATCH = st.builds(PatchRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT)

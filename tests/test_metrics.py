@@ -191,17 +191,17 @@ class TestEvaluate:
             ex("3", "yes", "no", "closed"),
         ]
         result = evaluate(examples)
-        open_rows = [r for r in result.per_example if r["qtype"] == "open"]
-        recall = sum(r["recall"] for r in open_rows) / len(open_rows)
-        precision = sum(r["precision"] for r in open_rows) / len(open_rows)
+        open_rows = [r for r in result.per_example if r.qtype == "open"]
+        recall = sum(r.recall for r in open_rows) / len(open_rows)
+        precision = sum(r.precision for r in open_rows) / len(open_rows)
         assert result.recall_pct == pytest.approx(100 * recall)
         assert result.precision_pct == pytest.approx(100 * precision)
         assert result.f1_pct == pytest.approx(
             100 * 2 * precision * recall / (precision + recall)
         )
-        closed_rows = [r for r in result.per_example if r["qtype"] == "closed"]
+        closed_rows = [r for r in result.per_example if r.qtype == "closed"]
         assert result.closed_accuracy_pct == pytest.approx(
-            100 * sum(r["correct"] for r in closed_rows) / len(closed_rows)
+            100 * sum(r.correct for r in closed_rows) / len(closed_rows)
         )
 
     def test_unscorable_reference_excluded_with_warning(self):
