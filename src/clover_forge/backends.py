@@ -91,17 +91,19 @@ class MockBackend:
         if not self.fixture_dir.is_dir():
             raise ConfigError(f"mock fixture directory not found: {self.fixture_dir}")
         self.backend_id = f"mock:{self.fixture_dir}"
+        self._dir = str(self.fixture_dir)
 
     def complete(self, envelope: PromptEnvelope, max_tokens: int) -> BackendResponse:
         digest = envelope_digest(envelope)
-        path = self.fixture_dir / f"{digest}.txt"
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(os.path.join(self._dir, f"{digest}.txt"), encoding="utf-8") as fh:
+                text = fh.read()
         except FileNotFoundError as exc:
             raise BackendError(
                 f"no fixture for prompt digest {digest} in {self.fixture_dir}"
             ) from exc
         except UnicodeDecodeError as exc:
+            path = self.fixture_dir / f"{digest}.txt"
             raise BackendError(f"fixture {path} is not UTF-8") from exc
         return BackendResponse(text[: max_tokens * 4])
 

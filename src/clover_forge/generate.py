@@ -2,7 +2,8 @@
 
 Records are admitted against the budget in input order before their requests
 are sent; each admission reserves an upper bound (estimated prompt cost plus
-the completion cap). Requests run on one thread pool for the whole run, and
+the completion cap). Requests run on one thread pool for the whole run (the
+mock backend's on the calling thread, each as its record commits), and
 results commit in input order on the calling thread: ledger, checkpoint, parse,
 and, in strict mode, lint. Admission waits only on commits, never on which
 request finishes first, so the processed set and every output byte are the
@@ -11,6 +12,7 @@ same for any timing.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +25,7 @@ from .backends import (
     CompletionBackend,
     CostRates,
     GenerationReceipt,
+    MockBackend,
     RetryPolicy,
     complete,
     estimate_prompt_tokens,
@@ -152,8 +155,12 @@ def generate_instructions(
     with ExitStack() as stack:
         checkpoint_fh = _open_journal(stack, checkpoint_path)
         skip_fh = _open_journal(stack, skip_log_path)
-        pool = ThreadPoolExecutor(max_workers=max_concurrency)
-        stack.callback(pool.shutdown, cancel_futures=True)
+        if getattr(type(backend), "complete", None) is MockBackend.complete:
+            submit = functools.partial  # a fixture read waits on nothing: no thread switch
+        else:
+            pool = ThreadPoolExecutor(max_workers=max_concurrency)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            submit = lambda *call: pool.submit(*call).result
 
         def log_skip(image_id: str, reason: str) -> None:
             run.skipped.append((image_id, reason))
@@ -176,16 +183,16 @@ def generate_instructions(
                     run.halted = True
                     run.halt_reason = str(exc)
                     break
-                future = pool.submit(
+                result = submit(
                     complete, envelope, backend, policy, rates, max_completion_tokens,
                     record.image_id,
                 )
-                window.append((record, envelope, reservation, future))
+                window.append((record, envelope, reservation, result))
             if not window:
                 break
-            record, envelope, reservation, future = window.popleft()
+            record, envelope, reservation, result = window.popleft()
             try:
-                text, receipt = future.result()
+                text, receipt = result()
             except BackendError as exc:
                 log_skip(record.image_id, f"backend_error: {exc}")
                 continue

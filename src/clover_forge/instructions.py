@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as esc
 from pathlib import Path
 from typing import Literal, get_args
 
@@ -30,6 +32,11 @@ class Provenance:
     prompt_hash: str | None = None
     created_at: str = ""
 
+    def __post_init__(self):  # a few values per run: the rows share one string per value
+        for name in ("method", "model", "created_at"):
+            if type(value := getattr(self, name)) is str:
+                object.__setattr__(self, name, sys.intern(value))
+
 
 @dataclass(frozen=True, slots=True)
 class Instruction:
@@ -40,12 +47,13 @@ class Instruction:
     provenance: Provenance = Provenance()
 
 
-_encode_digest_payload = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps bytes
-
-
 def instruction_digest(image_id: str, kind: str, questions: list[str]) -> str:
-    """Deterministic id: sha256 over (image_id, kind, ordered questions)."""
-    payload = _encode_digest_payload([image_id, kind, questions])
+    """Deterministic id: sha256 over (image_id, kind, ordered questions), as the
+    bytes of `json.dumps([image_id, kind, questions], ensure_ascii=False)`."""
+    try:
+        payload = f'[{esc(image_id)}, {esc(kind)}, [{", ".join(map(esc, questions))}]]'
+    except TypeError:  # a value that is not a string: json's bytes for it
+        payload = json.dumps([image_id, kind, questions], ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -92,10 +100,8 @@ class InstructionDataset:
 
 def dataset_digest(ds: InstructionDataset) -> str:
     """Order-insensitive digest over the member instruction ids."""
-    h = hashlib.sha256()
-    for iid in sorted(it.instruction_id for it in ds.items):
-        h.update(iid.encode("ascii"))
-    return h.hexdigest()
+    ids = "".join(sorted(it.instruction_id for it in ds.items))
+    return hashlib.sha256(ids.encode("ascii")).hexdigest()
 
 
 def make_dataset(
@@ -151,13 +157,9 @@ def split_subsets(
     if k > n:
         raise ValueError(f"cannot split {n} items into {k} subsets")
     order = sample_indices(n, n, seed)
-    subsets = []
-    for i in range(k):
-        members = [ds.items[j] for j in order[i::k]]
-        subsets.append(
-            make_dataset(members, seed=seed, sources=[dataset_digest(ds)])
-        )
-    return subsets
+    source = dataset_digest(ds)
+    return [make_dataset([ds.items[j] for j in order[i::k]], seed=seed, sources=[source])
+            for i in range(k)]
 
 
 def sample_scale(ds: InstructionDataset, size: int, seed: int) -> InstructionDataset:

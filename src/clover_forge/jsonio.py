@@ -2,22 +2,18 @@
 
 Every input is UTF-8, a leading BOM skipped; a bad line, an undecodable one
 included, is a `ManifestError` that names its 1-based file line. JSONL is one
-object per line, blank lines skipped; CSV has a header line, and each field is
-trimmed of surrounding whitespace. `read_records(path, RowType)` is the one row
-checker: the row type is a frozen dataclass whose annotations are the row's
-schema, resolved once per type, and every row is checked against it and built
-into an instance, a `Literal` field getting the annotation's own string so
-that all rows share it. The writers are its inverse: a dataclass row, slotted
-or not, is written as the object of its fields in declaration order, read by
-name through a field-name tuple cached per type, and a `Decimal` as its
-string. Every output is UTF-8 with non-ASCII text kept as is: a JSONL row is
-one compact line, a JSON document is indented by two spaces. Both are
-streamed: JSONL a row at a time, a document as the bytes of `encode_document`
-in bounded batches of encoder chunks, so memory does not grow with the file.
-Each is written to a temp file beside its target and renamed over it, so a
-failed write leaves the previous file untouched. The append-only generation
-journals (checkpoint and skip log) are the one exception and live in
-`generate`.
+object per line, blank lines skipped, each decoded by json's C scanner; CSV
+has a header line, and each field is trimmed. `read_records(path, RowType)` is
+the one row checker: the row type is a frozen dataclass whose annotations are
+the row's schema, compiled once per type into a builder, and every row is
+checked against it and built into an instance. The writers are its inverse: a
+dataclass row, slotted or not, is the object of its fields in declaration
+order, a `Decimal` its string, through one encoder per row type generated on
+first use, whose bytes are json's. Every output is UTF-8 with non-ASCII text
+kept: a JSONL row is one compact line, streamed a row at a time; a JSON
+document is indented by two spaces and written a few hundred rows at a time.
+Each goes to a temp file beside its target, renamed over it, so a failed write
+leaves the previous file untouched; the generation journals live in `generate`.
 """
 
 from __future__ import annotations
@@ -27,11 +23,13 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import types
 import typing
 from contextlib import contextmanager
 from decimal import Decimal, DefaultContext, InvalidOperation
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -63,10 +61,22 @@ def _open_lines(path: str | Path, newline: str | None = None):
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, object) for every non-blank line of a JSONL file."""
+    """Yield (lineno, object) for every non-blank line of a JSONL file. A line
+    that starts with '{' is decoded by json's C scanner, and taken when only JSON
+    whitespace follows the object; `json.loads` decodes any other line, so every
+    error keeps its wording (a form feed after the object is "Extra data")."""
+    scan = json.decoder.JSONDecoder().scan_once
     with _open_lines(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line[:1] == "{":
+                try:
+                    row, end = scan(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = 0
+                if end and not line[end:].strip(" \t\n\r"):
+                    yield lineno, row
+                    continue
+            elif not line.strip():
                 continue
             try:
                 row = json.loads(line)
@@ -195,39 +205,36 @@ def _check_for(hint) -> Callable:
 
 @functools.cache
 def _builder(row_type: type[T]) -> Callable[[object], T]:
-    """The check of a dataclass: its annotations resolved once, undeclared keys
-    ignored, and an absent key given the field's default or, with none, refused.
-    Each field is set with `object.__setattr__`, as a frozen dataclass's
-    `__init__` sets it, and then `__post_init__` runs; this skips a keyword
-    call to `__init__` per row. `str` fields, the most common, are checked inline."""
+    """The check of a dataclass, compiled from its annotations on first use:
+    undeclared keys ignored, and an absent key given the field's default or,
+    with none, refused. A `str` field, the most common, is checked inline and
+    any other by its annotation's check. Each field is set through its slot,
+    or with `object.__setattr__` on a class without slots, as a frozen
+    dataclass's `__init__` sets it, and then `__post_init__` runs."""
     hints = typing.get_type_hints(row_type)
-    fields = [(f.name, _check_for(hints[f.name]), f.default) for f in dataclasses.fields(row_type)]
     post_init = getattr(row_type, "__post_init__", None)
-    new, set_field = object.__new__, object.__setattr__
-
-    def build(row) -> T:
-        if type(row) is not dict:
-            raise _Bad("an object")
-        record = new(row_type)
-        for key, check, default in fields:
-            if key not in row:
-                if default is dataclasses.MISSING:
-                    raise _Bad(None, key)
-                value = default
-            elif check is _string:
-                value = row[key]
-                if type(value) is not str:
-                    raise _Bad("a string", key)
-            else:
-                try:
-                    value = check(row[key])
-                except _Bad as exc:
-                    raise exc.within(key)
-            set_field(record, key, value)
-        if post_init is not None:
-            post_init(record)
-        return record
-    return build
+    scope = {"_Bad": _Bad, "_new": object.__new__, "_type": row_type, "_post": post_init,
+             "_setattr": object.__setattr__, "_absent": dataclasses.MISSING}
+    code = ["def build(row):\n    if type(row) is not dict:\n        raise _Bad('an object')\n"
+            "    record = _new(_type)\n"]
+    for i, f in enumerate(dataclasses.fields(row_type)):
+        key, check, slot = repr(f.name), _check_for(hints[f.name]), vars(row_type).get(f.name)
+        scope[f"_check{i}"], scope[f"_default{i}"] = check, f.default
+        code.append(f"    v = row.get({key}, _absent)\n    if v is _absent:\n")
+        code.append(f"        raise _Bad(None, {key})\n" if f.default is dataclasses.MISSING
+                    else f"        v = _default{i}\n")
+        code.append(f"    elif type(v) is not str:\n        raise _Bad('a string', {key})\n"
+                    if check is _string else
+                    f"    else:\n        try:\n            v = _check{i}(v)\n"
+                    f"        except _Bad as exc:\n            raise exc.within({key})\n")
+        if type(slot) is types.MemberDescriptorType:
+            scope[f"_set{i}"] = slot.__set__
+            code.append(f"    _set{i}(record, v)\n")
+        else:
+            code.append(f"    _setattr(record, {key}, v)\n")
+    code.append("    _post(record)\n    return record\n" if post_init else "    return record\n")
+    exec(compile("".join(code), f"<{row_type.__qualname__} builder>", "exec"), scope)
+    return scope["build"]
 
 
 def decode(row_type: type[T], obj) -> T:
@@ -328,9 +335,9 @@ def _field_names(row_type: type) -> tuple[str, ...]:
 
 
 def _encodable(obj):
-    """The encoders' `default`, `_builder`'s inverse: a `Decimal` is its string,
-    and a dataclass row, slotted or not, is the object of its fields in
-    declaration order, read by name, so a cached property is never written."""
+    """json's `default`, `_builder`'s inverse: a `Decimal` is its string, and a
+    dataclass row, slotted or not, is the object of its fields in declaration
+    order, read by name, so a cached property is never written."""
     if isinstance(obj, Decimal):
         return str(obj)
     try:
@@ -340,15 +347,115 @@ def _encodable(obj):
     return {name: getattr(obj, name) for name in names}
 
 
-encode_row = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), default=_encodable).encode
+_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), default=_encodable).encode
 _DOCUMENT = json.JSONEncoder(ensure_ascii=False, indent=2, default=_encodable)
-# Encoder chunks joined per write: one write per chunk costs time, one join of
-# the whole document holds its text and every chunk in memory at once.
-_CHUNKS_PER_WRITE = 16384
+_CHUNKS_PER_WRITE = 256  # pieces of a document joined per write, about a row each
+
+# How a generated encoder writes a value whose annotation it writes inline: `{v}`
+# is the value, and `{o}` the value handed on by type when it has another type.
+_INLINE = {
+    str: "_esc({v}) if type({v}) is str else {o}",
+    int: "_int({v}) if type({v}) is int else {o}",
+    float: "_float({v}) if type({v}) is float and _finite({v}) else {o}",
+    bool: "'true' if {v} is True else 'false' if {v} is False else {o}",
+    Decimal: "_esc(str({v})) if type({v}) is Decimal else {o}",
+}
+
+
+def _generate(row_type: type, indent: bool) -> Callable:
+    """The encoder of a dataclass, compiled from its annotations. A field whose
+    value has the annotation's type is written inline, and any other value by
+    `_encoder` of its own type, which ends in json's encoder, so every byte is
+    json's. The indent-2 encoder takes the line prefix of the row's first line."""
+    try:
+        hints = typing.get_type_hints(row_type)
+    except NameError:  # an annotation that does not resolve: each value goes by type
+        hints = {}
+    scope = {"_esc": encode_basestring, "_int": int.__repr__, "_float": float.__repr__,
+             "_finite": math.isfinite, "Decimal": Decimal, "_enc": _encoder}
+    deepest = 1
+
+    def source(hint, v: str, depth: int) -> str:  # `n{depth}` is the value's line prefix
+        nonlocal deepest
+        deepest = max(deepest, depth)
+        call = f"({v}, n{depth})" if indent else f"({v})"
+        other = f"_enc(type({v}), {indent}){call}"
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if origin is typing.Literal and all(type(a) is str for a in args):
+            hint = str
+        if hint in _INLINE:
+            return f"({_INLINE[hint].format(v=v, o=other)})"
+        if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+            inner = source(args[0] if args[1] is type(None) else args[1], v, depth)
+            return f"('null' if {v} is None else {inner})"
+        if origin is list and args or origin is tuple and args[1:] == (...,):
+            x, n, n1 = f"x{depth}", f"n{depth}", f"n{depth + 1}"
+            items = f"[{source(args[0], x, depth + 1)} for {x} in {v}]"
+            seq = (f"('[' + {n1} + (',' + {n1}).join({items}) + {n} + ']' if {v} else '[]')"
+                   if indent else f"'[' + ','.join({items}) + ']'")
+            return f"({seq} if type({v}) is {origin.__name__} else {other})"
+        if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+            name = f"_row{len(scope)}"
+            scope[name], scope[name + "_type"] = _encoder(hint, indent), hint
+            return f"({name}{call} if type({v}) is {name}_type else {other})"
+        return other
+
+    names = _field_names(row_type)
+    code = [f"    s{i} = {source(hints.get(name), f'obj.{name}', 1)}\n"
+            for i, name in enumerate(names)]
+    if indent:
+        code[:0] = [f"    n{d} = n{d - 1} + '  '\n" for d in range(1, deepest + 1)]
+    pairs = "".join(f"{',' if i else '{{'}{'{n1}' if indent else ''}{encode_basestring(name)}:"
+                    f"{' ' if indent else ''}{{s{i}}}" for i, name in enumerate(names))
+    close = "{n0}}}" if indent else "}}"  # source of the f-string that returns the row
+    code.append(f"    return f'{pairs}{close}'\n" if names else "    return '{}'\n")
+    code.insert(0, f"def encode(obj{', n0' if indent else ''}):\n")
+    exec(compile("".join(code), f"<{row_type.__qualname__} encoder>", "exec"), scope)
+    return scope["encode"]
+
+
+@functools.cache
+def _encoder(cls: type, indent: bool) -> Callable:
+    """The compact or indent-2 encoder of a type, built on first use: generated
+    for a dataclass, item by item for a compact list or tuple, otherwise json's."""
+    if dataclasses.is_dataclass(cls):
+        return _generate(cls, indent)
+    if indent:  # every line break json writes is structural: a string escapes its own
+        return lambda obj, nl: _DOCUMENT.encode(obj).replace("\n", nl)
+    if cls in (list, tuple):
+        return lambda seq: "[" + ",".join([encode_row(x) for x in seq]) + "]"
+    return _JSON
+
+
+def encode_row(obj) -> str:
+    """`obj` as one compact JSON line, without its newline."""
+    return _encoder(type(obj), False)(obj)
+
+
+def _document(obj, nl: str) -> Iterator[str]:
+    """`obj` in indent-2 form, each line break followed by the prefix `nl`, in
+    pieces: a dict or dataclass a key at a time, a list or tuple a row at a time."""
+    cls = type(obj)
+    if cls is dict and all(type(key) is str for key in obj) or dataclasses.is_dataclass(cls):
+        pairs = obj.items() if cls is dict else [(n, getattr(obj, n)) for n in _field_names(cls)]
+        inner, sep = nl + "  ", "{"
+        for key, value in pairs:
+            yield f"{sep}{inner}{encode_basestring(key)}: "
+            yield from _document(value, inner)
+            sep = ","
+        yield nl + "}" if sep == "," else "{}"
+    elif cls in (list, tuple) and obj:
+        inner, sep = nl + "  ", "["
+        for item in obj:
+            yield sep + inner + _encoder(type(item), True)(item, inner)
+            sep = ","
+        yield nl + "]"
+    else:
+        yield _encoder(cls, True)(obj, nl)
 
 
 def encode_document(obj) -> str:
-    """`obj` as one indent-2 JSON document and a trailing newline."""
+    """`obj` as one indent-2 JSON document and a trailing newline: json's bytes."""
     return _DOCUMENT.encode(obj) + "\n"
 
 
@@ -360,10 +467,11 @@ def write_jsonl(path: str | Path, rows: Iterable) -> None:
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Write the bytes of `encode_document(obj)`, streamed in bounded batches
-    of encoder chunks, so that the whole text is never held in memory."""
-    chunks = _DOCUMENT.iterencode(obj)
+    """Write the bytes of `encode_document(obj)` a few hundred rows at a time, so
+    that the whole text is never held: `_document` walks dicts, lists and
+    dataclasses, and each row is written at its depth by its generated encoder."""
+    pieces = _document(obj, "\n")
     with atomic_open(path) as fh:
-        while batch := list(itertools.islice(chunks, _CHUNKS_PER_WRITE)):
+        while batch := list(itertools.islice(pieces, _CHUNKS_PER_WRITE)):
             fh.write("".join(batch))
         fh.write("\n")

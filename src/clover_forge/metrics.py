@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Literal
 
-from .jsonio import read_records
-
 DEFAULT_POLARITY = ("yes", "no")
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -85,7 +83,13 @@ def prf(ref: str, pred: str) -> tuple[float, float, float]:
     if not ref_tokens:
         raise ValueError("reference normalizes to zero tokens")
     pred_tokens = normalize(pred)
-    overlap = sum((Counter(ref_tokens) & Counter(pred_tokens)).values())
+    unmatched = Counter(ref_tokens)  # each prediction token takes one reference token left
+    overlap = 0
+    for token in pred_tokens:
+        left = unmatched.get(token)
+        if left:
+            unmatched[token] = left - 1
+            overlap += 1
     recall = overlap / len(ref_tokens)
     precision = overlap / len(pred_tokens) if pred_tokens else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -189,6 +193,8 @@ def evaluate(
 def read_examples(path: str | Path) -> list[EvalExample]:
     """Load eval examples from JSONL rows of (example_id, question, reference,
     prediction, qtype)."""
+    from .jsonio import read_records  # loaded by eval-vqa, not by cost-ratio
+
     return list(read_records(path, EvalExample))
 
 

@@ -104,11 +104,55 @@ def envelope_digest(envelope: PromptEnvelope) -> str:
 # text or after whitespace (no non-whitespace character before them), so
 # mid-line labels parse too. Only spaces and tabs may sit between numbering and
 # label: across a line break, "3." is the end of the previous answer ("seen on
-# March 3.\nQuestion:"), not numbering.
+# March 3.\nQuestion:"), not numbering. `_labels` finds the same labels, on
+# ASCII text without running the regex at every character.
 _LABEL_RE = re.compile(
     r"(?<!\S)(?:\(?\d{1,3}[.)][ \t]*)?(question|answer|q|a)\s*:",
     re.IGNORECASE,
 )
+
+
+def _labels(text: str) -> list[tuple[int, int, bool]]:
+    """(start, end, is_question) of each label, as `_LABEL_RE.finditer` finds them.
+
+    On ASCII text IGNORECASE is lowercasing (it also folds "ſ", "ı", "İ" and the
+    Kelvin sign), so labels are read off the lowercased text. A label ends at a
+    colon, and the four words end in four different letters, so at most one of
+    them sits before a colon and its whitespace. `_LABEL_RE`'s rule then needs
+    whitespace (`str.isspace`, which is `\\s`) or the text's start before the
+    numbering, where the label then starts, or else before the word."""
+    if not text.isascii():
+        return [(m.start(), m.end(), m.group(1).lower().startswith("q"))
+                for m in _LABEL_RE.finditer(text)]
+    labels, low, colon = [], text.lower(), -1
+    while (colon := low.find(":", colon + 1)) >= 0:
+        k = colon
+        while k and low[k - 1].isspace():
+            k -= 1
+        word = (k - 8 if low.endswith("question", 0, k) else k - 6 if low.endswith("answer", 0, k)
+                else k - 1 if k and low[k - 1] in "qa" else -1)
+        start = -1 if word < 0 else _label_start(text, word)
+        if start >= 0:
+            labels.append((start, colon + 1, low[word] == "q"))
+    return labels
+
+
+def _label_start(text: str, word: int) -> int:
+    """Where `_LABEL_RE` starts the label whose word starts at `word`, or -1."""
+    k = word
+    while k and text[k - 1] in " \t":
+        k -= 1
+    if k and text[k - 1] in ".)":  # numbering: "(", 1-3 digits, "." or ")"
+        d = k - 1
+        while d and text[d - 1].isdigit():
+            d -= 1
+        if 1 <= k - 1 - d <= 3:
+            if d and text[d - 1] == "(":
+                d -= 1
+            if not d or text[d - 1].isspace():
+                return d
+    return word if not word or text[word - 1].isspace() else -1
+
 
 STRICT_PAIR_RANGE = (4, 5)
 
@@ -125,22 +169,21 @@ def parse_qa(text: str, strict: bool = False) -> ParseResult:
     Strict mode additionally requires the pair count to land in [4, 5]; in
     lenient mode an out-of-range count becomes a warning on the result.
     """
-    matches = list(_LABEL_RE.finditer(text))
-    if not matches:
+    labels = _labels(text)
+    if not labels:
         raise ParseError(f"no question/answer labels found in: {text[:80]!r}")
 
     warnings: list[str] = []
-    preamble = text[: matches[0].start()].strip()
+    preamble = text[: labels[0][0]].strip()
     if preamble:
         warnings.append(f"ignored leading text before first label: {preamble[:40]!r}")
 
     pairs: list[QAPair] = []
     pending_question: str | None = None
-    for i, m in enumerate(matches):
-        kind = "q" if m.group(1).lower().startswith("q") else "a"
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
-        content = text[m.end() : end].strip()
-        if kind == "q":
+    ends = [start for start, _, _ in labels[1:]] + [len(text)]
+    for (_, label_end, is_question), end in zip(labels, ends):
+        content = text[label_end:end].strip()
+        if is_question:
             if pending_question is not None:
                 raise ParseError(f"question {len(pairs) + 1} has no answer")
             if not content:
@@ -203,14 +246,22 @@ _RULES = (
     ("META_PHRASE", _META_PHRASE_RE),
 )
 # MAGNIFICATION and both DATE patterns need a digit (`\d`, Unicode digits
-# included), so text without one can only match META_PHRASE.
+# included). META_PHRASE needs a stem, on ASCII text in the lowercased text;
+# non-ASCII text may fold into one ("ſ", "ı", "İ", the Kelvin sign).
 _DIGIT_RE = re.compile(r"\d")
-_RULES_WITHOUT_DIGIT = tuple(r for r in _RULES if r[0] == "META_PHRASE")
+_DIGIT_RULES = tuple(r for r in _RULES if r[0] != "META_PHRASE")
+_META_RULES = tuple(r for r in _RULES if r[0] == "META_PHRASE")
+_META_STEMS = ("mention", "title", "context", "narrator")
 
 
 def lint_text(text: str) -> LintReport:
     report = LintReport()
-    rules = _RULES if _DIGIT_RE.search(text) else _RULES_WITHOUT_DIGIT
+    if text.isascii():
+        low = text.lower()
+        rules = ((_DIGIT_RULES if any(d in text for d in "0123456789") else ())
+                 + (_META_RULES if any(stem in low for stem in _META_STEMS) else ()))
+    else:
+        rules = _RULES if _DIGIT_RE.search(text) else _META_RULES
     for rule_id, pattern in rules:
         for m in pattern.finditer(text):
             report.violations.append(

@@ -429,3 +429,32 @@ def test_checkpoint_write_failure_stops_workers_and_keeps_partial(tmp_path, monk
     assert [r.image_id for r in partial.receipts] == ["img000", "img001", "img002", "img003"]
     assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
     assert len(backend.finished) <= len(partial.receipts) + WINDOW_PER_WORKER * workers
+
+
+class PooledMockBackend(MockBackend):
+    """The mock backend behind a `complete` of its own, so that its requests go
+    through the thread pool."""
+
+    def complete(self, envelope, max_tokens):
+        return super().complete(envelope, max_tokens)
+
+
+def test_mock_completions_run_inline_with_the_outputs_of_the_pool(tmp_path, monkeypatch):
+    corpus = corpus_of(12)
+    fx = tmp_path / "fx"
+    stage_all(fx, corpus)
+    stage_fixture(fx, corpus.records[3].merged_caption, DIRTY_COMPLETION)
+    (fx / f"{envelope_digest(build_prompt(corpus.records[7].merged_caption))}.txt").unlink()
+    budget = request_reservation(build_prompt(corpus.records[0].merged_caption), RATES, 512) * 10
+    pooled = run(corpus, PooledMockBackend(fx), tmp_path / "pool", strict=True, budget_usd=budget)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a mock backend needs no thread pool")
+
+    monkeypatch.setattr(generate, "ThreadPoolExecutor", no_pool)
+    inline = run(corpus, MockBackend(fx), tmp_path / "inline", strict=True, budget_usd=budget)
+    assert inline.halted and len(inline.skipped) == 2
+    for attr in ("instructions", "receipts", "skipped", "halt_reason", "spent"):
+        assert getattr(inline, attr) == getattr(pooled, attr), attr
+    for name in ("checkpoint.jsonl", "skips.jsonl"):
+        assert (tmp_path / "inline" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()

@@ -280,3 +280,23 @@ class TestSerialization:
     def test_dataset_manifest_counts_match_items(self):
         ds = dataset(5)
         assert ds.manifest["counts"] == {"generation": 5, "template": 0}
+
+
+_DIGEST_TEXT = st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from('"\\\n\té😀')),
+                       max_size=8)
+
+
+@given(_DIGEST_TEXT, st.sampled_from(KINDS), st.lists(_DIGEST_TEXT, max_size=4))
+def test_instruction_digest_hashes_the_bytes_of_json_dumps(image_id, kind, questions):
+    payload = json.dumps([image_id, kind, questions], ensure_ascii=False)
+    assert instruction_digest(image_id, kind, questions) == hashlib.sha256(
+        payload.encode("utf-8")).hexdigest()
+
+
+def test_rows_read_from_one_file_share_their_provenance_strings(tmp_path):
+    prov = Provenance("chat-completion", "gpt", None, "2026-01-01T00:00:00Z")
+    items = [make_instruction(f"img{i}", "generation", [(f"q{i}", "a")], prov) for i in range(3)]
+    write_dataset(make_dataset(items), tmp_path / "ds.jsonl")
+    read = read_dataset(tmp_path / "ds.jsonl").items
+    for name in ("method", "model", "created_at"):
+        assert len({id(getattr(it.provenance, name)) for it in read}) == 1, name

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import tempfile
 import tracemalloc
+import types
+import typing
 from decimal import Decimal
 from pathlib import Path
 
@@ -26,7 +28,14 @@ from clover_forge.jsonio import (
     write_jsonl,
 )
 from clover_forge.metrics import ClosedScore, EvalExample, MetricsReport, OpenScore
-from clover_forge.prompts import FewShotPair, QAPair, build_prompt
+from clover_forge.prompts import (
+    FewShotPair,
+    LintViolation,
+    Message,
+    PromptEnvelope,
+    QAPair,
+    build_prompt,
+)
 
 
 def test_read_jsonl_skips_blank_lines_and_keeps_file_line_numbers(tmp_path):
@@ -325,3 +334,157 @@ def test_a_row_that_caches_a_property_is_written_as_its_fields_only():
     assert envelope.digest in vars(envelope).values()
     assert encode_row(envelope) == before == encode_row({"messages": envelope.messages})
     assert json.loads(before) == {"messages": [dataclasses.asdict(m) for m in envelope.messages]}
+
+
+# --- generated encoders: the bytes of json's own encoder ----------------------
+
+_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), default=jsonio._encodable)
+_INDENTED = json.JSONEncoder(ensure_ascii=False, indent=2, default=jsonio._encodable)
+
+
+class _Str(str):
+    pass
+
+
+# A value of a type that an annotation need not predict: json encodes each its own
+# way (NaN and the infinities, bool against int, a str subclass, a Decimal string).
+_OTHER = (st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats()
+          | _TEXT | _TEXT.map(_Str) | st.decimals() | st.lists(st.integers(), max_size=2))
+
+
+def _values(hint):
+    """Values of the annotation `hint`, or now and then of some other type."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Literal:
+        typed = st.sampled_from(args)
+    elif hint in (str, int, float, bool, Decimal):
+        typed = {str: _TEXT, int: _COUNT, float: st.floats(), bool: st.booleans(),
+                 Decimal: st.decimals()}[hint]
+    elif origin in (typing.Union, types.UnionType):
+        typed = st.one_of([_values(a) for a in args])
+    elif origin in (tuple, list):
+        item = _values(args[0])
+        typed = (st.lists(item, max_size=3).map(origin) if origin is list or args[1:] == (...,)
+                 else st.tuples(*map(_values, args)))
+    elif dataclasses.is_dataclass(hint):
+        typed = _rows(hint)
+    else:
+        typed = _OTHER
+    return typed | _OTHER
+
+
+def _rows(row_type):
+    """Rows of `row_type` with fields set as they are drawn, unchecked."""
+    hints = typing.get_type_hints(row_type)
+    names = [f.name for f in dataclasses.fields(row_type)]
+
+    def build(*values):
+        row = object.__new__(row_type)
+        for name, value in zip(names, values):
+            object.__setattr__(row, name, value)
+        return row
+    return st.builds(build, *[_values(hints[name]) for name in names])
+
+
+ENCODED_ROWS = [ManifestRow, ImageTextRecord, Instruction, Provenance, QAPair, EvalExample,
+                GenerationReceipt, BackendResponse, FewShotPair, Message, PromptEnvelope,
+                OpenScore, ClosedScore, MetricsReport, LintViolation, PatchRecord, FewShotSplit]
+
+
+@pytest.mark.parametrize("row_type", ENCODED_ROWS, ids=lambda t: t.__name__)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_generated_encoders_write_the_bytes_of_json(row_type, data):
+    row = data.draw(_rows(row_type))
+    assert encode_row(row) == _COMPACT.encode(row)
+    assert encode_row((row, row)) == _COMPACT.encode((row, row))
+    document = {"row": row, "rows": [row, [row]], "empty": [], "keyed": {1: row}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        write_json(path, document)
+        assert path.read_bytes() == (_INDENTED.encode(document) + "\n").encode("utf-8")
+
+
+def _documents():
+    """One document of each kind a subcommand writes with `write_json`."""
+    from clover_forge import losses, metrics
+    from clover_forge.instructions import make_dataset
+    from clover_forge.prompts import lint_qa
+
+    items = [make_instruction(f"img{i}", "generation", [(f"q{i}?", "seen at 40x in 1999")],
+                              Provenance("chat-completion", "m", "h", "t")) for i in range(3)]
+    lint = [{"instruction_id": it.instruction_id, "image_id": it.image_id,
+             "violations": lint_qa(it.turns).violations} for it in items]
+    examples = [EvalExample("e1", "yes", "closed", prediction="yes"),
+                EvalExample("e2", "a gland", "open", prediction="gland é"),
+                EvalExample("e3", "…", "open")]
+    return {"manifest": make_dataset(items, seed=3).manifest, "lint": lint,
+            "report": metrics.evaluate(examples), "kernel": losses.run_kernel_check(seed=0)}
+
+
+@pytest.mark.parametrize("kind", ["manifest", "lint", "report", "kernel"])
+def test_write_json_writes_encode_document_for_each_document(tmp_path, kind):
+    document = _documents()[kind]
+    write_json(tmp_path / "doc.json", document)
+    assert (tmp_path / "doc.json").read_bytes() == encode_document(document).encode("utf-8")
+
+
+def test_encoders_are_built_per_type_on_first_use():
+    @dataclasses.dataclass(frozen=True)
+    class Fresh:
+        x: int
+
+    assert encode_row(Fresh(1)) == '{"x":1}' and encode_row(Fresh(True)) == '{"x":true}'
+    assert jsonio._encoder(Fresh, False) is jsonio._encoder(Fresh, False)
+
+
+# --- the line reader: json.loads's verdict on every line ----------------------
+
+def _loads_verdict(line):
+    """What `json.loads` makes of a JSONL line: its object, or the reader's error."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON ({exc.msg})"
+    except ValueError as exc:
+        return f"invalid JSON ({exc})"
+    except RecursionError:
+        return "invalid JSON (nested too deeply)"
+    return row if isinstance(row, dict) else "expected a JSON object"
+
+
+def _read_second_line(path, line):
+    path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+    try:
+        return list(read_jsonl(path))[1][1]
+    except ManifestError as exc:
+        assert str(exc).startswith("line 2: "), str(exc)
+        return str(exc)[len("line 2: "):]
+
+
+@pytest.mark.parametrize("line, verdict", [
+    ('{"a": 1}\x0c', "invalid JSON (Extra data)"),
+    ('{"a": 1}\x1c', "invalid JSON (Extra data)"),
+    ('{"a": 1} {"b": 2}', "invalid JSON (Extra data)"),
+    ('\ufeff{"a": 1}', "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    (' \t{"a": 1} \t', {"a": 1}),
+    ('["a"]', "expected a JSON object"),
+    ('{"a": ' + "7" * 5000 + "}", "invalid JSON (Exceeds the limit (4300 digits) for integer "
+     "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+     "the limit)"),
+    ('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", "invalid JSON (nested too deeply)"),
+    ('{"a": "tab\there"}', "invalid JSON (Invalid control character at)"),
+    ('{"a": 1', "invalid JSON (Expecting ',' delimiter)"),
+])
+def test_read_jsonl_words_each_line_as_json_loads_does(tmp_path, line, verdict):
+    assert _read_second_line(tmp_path / "rows.jsonl", line) == verdict == _loads_verdict(line)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(['{', '}', '"a"', '"é"', ':', ',', '1', '[', ']', ' ', '\t',
+                                 '\x0c', '\x1c', '\ufeff', 'null', 'x']), max_size=10).map("".join))
+def test_read_jsonl_agrees_with_json_loads_on_any_line(line):
+    if not line.strip():
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _read_second_line(Path(tmp) / "rows.jsonl", line) == _loads_verdict(line)

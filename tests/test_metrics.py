@@ -213,3 +213,15 @@ class TestEvaluate:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             evaluate([])
+
+
+@given(_words, _words)
+def test_prf_overlap_is_the_multiset_intersection(ref, pred):
+    from collections import Counter
+
+    if not ref:
+        return
+    overlap = sum((Counter(ref) & Counter(pred)).values())
+    recall, precision, _ = prf(" ".join(ref), " ".join(pred))
+    assert recall == overlap / len(ref)
+    assert precision == (overlap / len(pred) if pred else 0.0)

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from clover_forge.errors import ParseError
 from clover_forge.prompts import (
+    _LABEL_RE,
     _RULES,
+    _labels,
     LintViolation,
     Message,
     PromptEnvelope,
@@ -243,3 +245,43 @@ def _lint_all_rules(text):
 @settings(max_examples=300)
 def test_digit_gate_matches_running_every_rule(text):
     assert lint_text(text).violations == _lint_all_rules(text)
+
+
+# Stems and their pieces, letters that case-fold onto ASCII ("ſ" onto s, "ı" and
+# "İ" onto i, the Kelvin sign onto k), and digits ASCII and not.
+_stem_tokens = st.sampled_from(
+    ["mention", "Mention", "MENTIONED", "titles", "TITLE", "context", "narrator", "Narrators",
+     "men", "tion", "ti", "tle", "con", "text", "narr", "ator", "ſ", "ı", "İ", "\u212a", "K",
+     "5", "٣", "²", "x", "×", "may", "1999", " ", "\t", "\n", ".", "s", "ed", "ing"]
+)
+
+
+@given(st.lists(_stem_tokens, max_size=16).map("".join))
+@example("tıtle")
+@example("\u212aontext mention")
+@example("narratorſ")
+@settings(max_examples=150)
+def test_stem_gate_matches_running_every_rule(text):
+    assert lint_text(text).violations == _lint_all_rules(text)
+
+
+# Label words in any case, numbering in and out of range, every kind of
+# whitespace (\x1c-\x1f are `\s` too), and non-ASCII text that folds onto a label.
+_label_tokens = st.sampled_from(
+    ["q", "Q", "a", "A", "question", "QUESTION", "Answer", "answer", ":", " :", " ", "\t",
+     "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "1", "12", "123", "1234",
+     ".", ")", "(", "(1)", "2.", "x", "é", "queſtion", "ı", "-", "?"]
+)
+
+
+@given(st.lists(_label_tokens, max_size=16).map("".join))
+@example("(1)\tQ: a\x1cA: b")
+@example("1234. Q: x")
+@example("x(1) q: a")
+@example("\x1c12. Q: a\x1f(3)a: b")
+@example("queſtion: a Answer: b")
+@settings(max_examples=300)
+def test_label_scan_finds_the_matches_of_the_label_pattern(text):
+    want = [(m.start(), m.end(), m.group(1).lower().startswith("q"))
+            for m in _LABEL_RE.finditer(text)]
+    assert _labels(text) == want

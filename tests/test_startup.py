@@ -4,7 +4,8 @@
 the CLI loads `config` and `errors` alone. numpy serves `kernel-check` alone,
 `urllib.request` serves `LiveBackend` alone, and `concurrent.futures` serves
 `gen-qa` alone; `cost-ratio` and `eval-vqa` start without any of them or the
-generation modules.
+generation modules, and `cost-ratio` without `jsonio`, whose row encoders and
+builders are built per row type on first use.
 """
 
 import os
@@ -54,8 +55,8 @@ def test_import_loads_no_single_use_module(module, names):
 
 def test_cost_ratio_loads_no_pipeline_module():
     names = (*GENERATION, "clover_forge.instructions", "clover_forge.corpus",
-             "clover_forge.fewshot", "clover_forge.templates", "datetime", "numpy",
-             "urllib.request")
+             "clover_forge.fewshot", "clover_forge.templates", "clover_forge.jsonio", "datetime",
+             "numpy", "urllib.request")
     argv = ["cost-ratio", "--metric", "83.90", "--params", "187000000"]
     assert _loaded_by_main(argv, names) == []
 
@@ -68,3 +69,14 @@ def test_eval_vqa_loads_no_generation_module(tmp_path):
     )
     argv = ["eval-vqa", "--examples", str(examples), "--report", str(tmp_path / "r.json")]
     assert _loaded_by_main(argv, GENERATION) == []
+
+
+
+def test_import_and_cost_ratio_build_no_row_encoder_or_builder():
+    """Encoders and builders are built per row type on first use, never at import."""
+    assert _loaded_after("import clover_forge.cli", ("clover_forge.jsonio",)) == []
+    argv = ["cost-ratio", "--metric", "83.90", "--params", "187000000"]
+    code = (f"from clover_forge.cli import main\nassert main({argv!r}) == 0\n"
+            "from clover_forge.jsonio import _builder, _encoder\n"
+            "assert _builder.cache_info().currsize == _encoder.cache_info().currsize == 0")
+    assert _loaded_after(code, ("clover_forge.jsonio",)) == ["clover_forge.jsonio"]
