@@ -104,27 +104,20 @@ def cmd_gen_qa(args, cfg) -> int:
     out = _out_path(args.out, cfg, "generation_instructions.jsonl")
     checkpoint = args.checkpoint or str(out) + ".checkpoint.jsonl"
     skip_log = args.skip_log or str(out) + ".skips.jsonl"
-    run = generate.generate_instructions(
-        corpus,
-        backend,
-        fewshot_pairs,
-        budget_usd=cfg.budget_usd,
-        strict=cfg.strict_parse,
-        rates=backends.CostRates(cfg.rate_in_usd_per_1k, cfg.rate_out_usd_per_1k),
-        policy=backends.RetryPolicy(cfg.max_retries, cfg.backoff_base_s),
-        max_completion_tokens=cfg.max_completion_tokens,
-        max_concurrency=cfg.max_concurrency,
-        checkpoint_path=checkpoint,
-        skip_log_path=skip_log,
-        created_at=_created_at(cfg),
-    )
-    ds = instr_mod.make_dataset(run.instructions, seed=cfg.seed)
-    instr_mod.write_dataset(ds, out)
+    with instr_mod.DatasetWriter(out, seed=cfg.seed) as writer:  # refuses before any paid call
+        run = generate.generate_instructions(
+            corpus, backend, fewshot_pairs, budget_usd=cfg.budget_usd, strict=cfg.strict_parse,
+            rates=backends.CostRates(cfg.rate_in_usd_per_1k, cfg.rate_out_usd_per_1k),
+            policy=backends.RetryPolicy(cfg.max_retries, cfg.backoff_base_s),
+            max_completion_tokens=cfg.max_completion_tokens, max_concurrency=cfg.max_concurrency,
+            checkpoint_path=checkpoint, skip_log_path=skip_log, created_at=_created_at(cfg),
+            sink=writer,
+        )
     for warning in run.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     halted = f", halted: {run.halt_reason}" if run.halted else ""
     print(
-        f"generated {len(ds)} instructions, skipped {len(run.skipped)}, "
+        f"generated {len(writer)} instructions, skipped {len(run.skipped)}, "
         f"spent ${run.spent} -> {out}{halted}"
     )
     return 0

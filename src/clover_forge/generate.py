@@ -7,7 +7,8 @@ mock backend's on the calling thread, each as its record commits), and
 results commit in input order on the calling thread: ledger, checkpoint, parse,
 and, in strict mode, lint. Admission waits only on commits, never on which
 request finishes first, so the processed set and every output byte are the
-same for any timing.
+same for any timing. Each instruction goes to the run's sink as it commits: a
+list, or an `instructions.DatasetWriter`, which writes it at once.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class BudgetLedger:
 
 @dataclass
 class GenerationRun:
-    instructions: list[Instruction] = field(default_factory=list)
+    instructions: list[Instruction] = field(default_factory=list)  # any sink: append, len
     receipts: list[GenerationReceipt] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
     halted: bool = False
@@ -125,6 +126,7 @@ def generate_instructions(
     checkpoint_path: str | Path,
     skip_log_path: str | Path,
     created_at: str = "",
+    sink: list[Instruction] | None = None,
 ) -> GenerationRun:
     """Produce one generation-kind instruction per successfully processed record.
 
@@ -134,6 +136,7 @@ def generate_instructions(
     every processed record, so the run can resume.
     The run halts before the first record that does not fit the budget, and
     stops admitting at the first receipt that costs more than its reservation.
+    `run.instructions` is `sink`, or a new list, and gets each row as it commits.
     """
     if budget_usd <= 0:
         raise ValueError(f"budget_usd must be positive, got {budget_usd}")
@@ -146,7 +149,7 @@ def generate_instructions(
     prior_spend = sum((r.estimated_cost_usd for r in prior_receipts), start=Decimal(0))
     ledger = BudgetLedger(budget_usd=budget_usd, reserved=prior_spend, spent=prior_spend)
 
-    run = GenerationRun()
+    run = GenerationRun() if sink is None else GenerationRun(instructions=sink)
     model_name = getattr(backend, "model", None)
     pending = (r for r in corpus.records if r.image_id not in done)
     window: deque = deque()

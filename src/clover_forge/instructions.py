@@ -3,6 +3,8 @@
 Both instruction kinds share one canonical on-disk schema; `kind` is a field,
 not a file format. Datasets are immutable values and every operation here is
 pure, so hybrid assembly, subset splitting, and scale sampling compose freely.
+`DatasetWriter` is `write_dataset` a row at a time, so that a producer such as
+gen-qa holds no rows.
 """
 
 from __future__ import annotations
@@ -10,14 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as esc
 from pathlib import Path
 from typing import Literal, get_args
 
 from . import __version__
-from .errors import IntegrityError
-from .jsonio import read_json, read_records, write_json, write_jsonl
+from .errors import CloverError, IntegrityError
+from .jsonio import jsonl_writer, read_json, read_records, write_json, write_jsonl
 from .prompts import QAPair
 from .sampling import sample_indices
 
@@ -100,8 +103,11 @@ class InstructionDataset:
 
 def dataset_digest(ds: InstructionDataset) -> str:
     """Order-insensitive digest over the member instruction ids."""
-    ids = "".join(sorted(it.instruction_id for it in ds.items))
-    return hashlib.sha256(ids.encode("ascii")).hexdigest()
+    return _ids_digest(it.instruction_id for it in ds.items)
+
+
+def _ids_digest(ids) -> str:
+    return hashlib.sha256("".join(sorted(ids)).encode("ascii")).hexdigest()
 
 
 def make_dataset(
@@ -121,14 +127,13 @@ def _with_manifest(
 ) -> InstructionDataset:
     """A dataset of `items`, whose ids are known to be unique, and its manifest."""
     ds = InstructionDataset(items=items)
-    manifest = {
-        "counts": ds.counts_by_kind(),
-        "digest": dataset_digest(ds),
-        "sources": sources or [],
-        "seed": seed,
-        "tool_version": __version__,
-    }
-    return InstructionDataset(items=items, manifest=manifest)
+    manifest = _manifest(ds.counts_by_kind(), dataset_digest(ds), seed, sources)
+    return InstructionDataset(items, manifest)
+
+
+def _manifest(counts: dict, digest: str, seed: int | None, sources: list[str] | None) -> dict:
+    return {"counts": counts, "digest": digest, "sources": sources or [], "seed": seed,
+            "tool_version": __version__}
 
 
 def assemble_hybrid(
@@ -178,6 +183,48 @@ def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
     path = Path(path)
     write_jsonl(path, ds.items)
     write_json(path.with_name(path.name + ".manifest.json"), ds.manifest)
+
+
+class DatasetWriter:
+    """`write_dataset(make_dataset(rows, seed=seed), path)` a row at a time, holding
+    only the ids and kind counts. Built, it refuses a `path` that no write could
+    create. `<path>.tmp` opens at the first row, or at a clean exit if none came; a
+    clean exit renames it and writes the sidecar, and an exception touches neither."""
+
+    def __init__(self, path: str | Path, *, seed: int | None = None):
+        self.path, self.seed = Path(path), seed
+        if self.path.is_dir():
+            raise CloverError(f"cannot write {self.path}: it is a directory")
+        parent = next((p for p in self.path.parents if p.exists()), self.path.parent)
+        if not parent.is_dir():
+            raise CloverError(f"cannot write {self.path}: {parent} is not a directory")
+        self._ids: set[str] = set()
+        self._counts = dict.fromkeys(KINDS, 0)
+        self._files = ExitStack()
+        self._write = None
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def append(self, it: Instruction) -> None:
+        if it.instruction_id in self._ids:
+            raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
+        if self._write is None:
+            self._write = self._files.enter_context(jsonl_writer(self.path))
+        self._write(it)
+        self._ids.add(it.instruction_id)
+        self._counts[it.kind] += 1
+
+    def __enter__(self) -> DatasetWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if exc[0] is None and self._write is None:
+            self._files.enter_context(jsonl_writer(self.path))
+        self._files.__exit__(*exc)
+        if exc[0] is None:
+            manifest = _manifest(self._counts, _ids_digest(self._ids), self.seed, None)
+            write_json(self.path.with_name(self.path.name + ".manifest.json"), manifest)
 
 
 def read_dataset(path: str | Path) -> InstructionDataset:

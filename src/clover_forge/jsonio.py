@@ -459,11 +459,18 @@ def encode_document(obj) -> str:
     return _DOCUMENT.encode(obj) + "\n"
 
 
+@contextmanager
+def jsonl_writer(path: str | Path) -> Iterator[Callable[[object], None]]:
+    """`atomic_open(path)`, yielding a function that writes one row as a JSONL line."""
+    with atomic_open(path) as fh:
+        yield lambda row: fh.write(encode_row(row) + "\n")
+
+
 def write_jsonl(path: str | Path, rows: Iterable) -> None:
     """Stream rows, dataclass rows or dicts, as JSONL, one compact object per line."""
-    with atomic_open(path) as fh:
+    with jsonl_writer(path) as write:
         for row in rows:
-            fh.write(encode_row(row) + "\n")
+            write(row)
 
 
 def write_json(path: str | Path, obj) -> None:

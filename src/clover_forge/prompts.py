@@ -52,9 +52,19 @@ class PromptEnvelope:
     @functools.cached_property
     def digest(self) -> str:
         """sha256 over the canonical compact JSON of the messages; names mock
-        fixtures. Computed on first use and kept, so a record pays for it once."""
-        payload = encode_row(self.messages)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        fixtures. Computed on first use and kept; a shared prefix is hashed once."""
+        state = _prefix_state(self.messages[:-1]).copy()
+        state.update((encode_row(self.messages[-1]) + "]").encode("utf-8"))
+        return state.hexdigest()
+
+
+@functools.lru_cache(maxsize=8)
+def _prefix_state(prefix: tuple[Message, ...]):
+    """sha256 fed `encode_row`'s bytes before the last message. Callers copy it."""
+    state = hashlib.sha256(b"[")
+    for message in prefix:
+        state.update((encode_row(message) + ",").encode("utf-8"))
+    return state
 
 
 @dataclass(frozen=True, slots=True)

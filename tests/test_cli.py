@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from clover_forge import fewshot
+from clover_forge.backends import MockBackend
 from clover_forge.cli import main
-from clover_forge.instructions import instruction_digest
+from clover_forge.instructions import Instruction, instruction_digest
 from clover_forge.jsonio import read_jsonl
 from clover_forge.prompts import build_prompt, envelope_digest
 
@@ -997,3 +999,91 @@ def test_repeated_instruction_row_is_an_error(tmp_path, pinned_config, capsys, c
     assert code == 1
     assert err.startswith(f"error: line 3: duplicate instruction id {rows[0]['instruction_id']}")
     assert not paths["out"].exists()
+
+
+@pytest.fixture
+def counted_completions(monkeypatch):
+    """Every mock completion the CLI makes; each hook in `on_call` gets the call's number."""
+    calls = []
+    on_call = []
+    complete = MockBackend.complete
+
+    def counted(self, envelope, max_tokens):
+        calls.append(envelope)
+        for hook in on_call:
+            hook(len(calls))
+        return complete(self, envelope, max_tokens)
+
+    monkeypatch.setattr(MockBackend, "complete", counted)
+    return calls, on_call
+
+
+@pytest.mark.parametrize("target", ["directory", "under-a-file"])
+def test_gen_qa_refuses_an_unwritable_out_before_any_backend_call(
+    tmp_path, pinned_config, corpus_file, counted_completions, capsys, target
+):
+    fixtures = tmp_path / "fx"
+    stage_fixtures(fixtures, corpus_file)
+    if target == "directory":
+        out = tmp_path / "outdir"
+        out.mkdir()
+    else:
+        (tmp_path / "afile").write_text("x")
+        out = tmp_path / "afile" / "sub" / "gen.jsonl"
+    code = main(["--config", pinned_config, "gen-qa", "--corpus", str(corpus_file),
+                 "--fixtures", str(fixtures), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    calls, _ = counted_completions
+    assert calls == []
+    assert not Path(f"{out}.checkpoint.jsonl").exists()
+
+
+def test_gen_qa_interrupted_keeps_the_previous_output(
+    tmp_path, pinned_config, corpus_file, counted_completions
+):
+    fixtures = tmp_path / "fx"
+    stage_fixtures(fixtures, corpus_file)
+    out = tmp_path / "gen" / "gen.jsonl"
+    argv = ["--config", pinned_config, "gen-qa", "--corpus", str(corpus_file),
+            "--fixtures", str(fixtures), "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+    calls, on_call = counted_completions
+    first_run = len(calls)
+
+    def interrupt(k):
+        if k == first_run + 4:
+            raise KeyboardInterrupt
+
+    on_call.append(interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--checkpoint", str(tmp_path / "second.checkpoint.jsonl")])
+    after = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+    assert after == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_gen_qa_holds_no_committed_instructions(
+    tmp_path, pinned_config, counted_completions
+):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"image_id": f"img{i:02d}", "image_ref": f"{i}.png",
+                    "caption": " ".join(f"w{i}t{j}" for j in range(30))}) + "\n"
+        for i in range(40)
+    ))
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["--config", pinned_config, "ingest", "--manifest", str(manifest),
+                 "--out", str(corpus)]) == 0
+    fixtures = tmp_path / "fx"
+    stage_fixtures(fixtures, corpus)
+    alive = []
+    _, on_call = counted_completions
+    on_call.append(lambda k: alive.append(
+        sum(type(o) is Instruction for o in gc.get_objects())) if k in (1, 20, 40) else None)
+    out = tmp_path / "gen.jsonl"
+    assert main(["--config", pinned_config, "gen-qa", "--corpus", str(corpus),
+                 "--fixtures", str(fixtures), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 40
+    assert len(alive) == 3 and max(alive) - alive[0] <= 1, alive

@@ -16,7 +16,7 @@ from clover_forge.backends import (
     estimate_tokens,
 )
 from clover_forge.corpus import Corpus, ImageTextRecord, merge_and_filter
-from clover_forge.errors import BudgetExceededError, CloverError
+from clover_forge.errors import BudgetExceededError, CloverError, IntegrityError
 from clover_forge.generate import (
     WINDOW_PER_WORKER,
     BudgetLedger,
@@ -25,6 +25,7 @@ from clover_forge.generate import (
     load_checkpoint,
     request_reservation,
 )
+from clover_forge.instructions import DatasetWriter, make_dataset, write_dataset
 from clover_forge.prompts import build_prompt, envelope_digest, lint_qa, parse_qa
 
 RATES = CostRates(Decimal("0.0015"), Decimal("0.002"))
@@ -458,3 +459,41 @@ def test_mock_completions_run_inline_with_the_outputs_of_the_pool(tmp_path, monk
         assert getattr(inline, attr) == getattr(pooled, attr), attr
     for name in ("checkpoint.jsonl", "skips.jsonl"):
         assert (tmp_path / "inline" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+
+@pytest.mark.parametrize("case", ["full", "budget_halt", "all_skipped"])
+def test_streamed_dataset_has_the_bytes_of_write_dataset(tmp_path, case):
+    corpus = corpus_of(12)
+    fx = tmp_path / "fx"
+    stage_all(fx, corpus, DIRTY_COMPLETION if case == "all_skipped" else CLEAN_COMPLETION)
+    budget = Decimal("8.00")
+    if case == "budget_halt":
+        budget = request_reservation(build_prompt(corpus.records[0].merged_caption), RATES, 512) * 5
+    listed = run(corpus, MockBackend(fx), tmp_path / "list", strict=True, budget_usd=budget)
+    write_dataset(make_dataset(listed.instructions, seed=7), tmp_path / "list" / "out.jsonl")
+    with DatasetWriter(tmp_path / "stream" / "out.jsonl", seed=7) as writer:
+        streamed = run(corpus, MockBackend(fx), tmp_path / "stream", strict=True,
+                       budget_usd=budget, sink=writer)
+    assert streamed.instructions is writer
+    assert len(writer) == len(listed.instructions) == {"full": 12, "budget_halt": 5}.get(case, 0)
+    assert streamed.halted == listed.halted == (case == "budget_halt")
+    assert len(streamed.skipped) == (12 if case == "all_skipped" else 0)
+    for name in ("out.jsonl", "out.jsonl.manifest.json", "checkpoint.jsonl", "skips.jsonl"):
+        assert (tmp_path / "stream" / name).read_bytes() == (tmp_path / "list" / name).read_bytes()
+
+
+def test_a_duplicate_id_in_a_streamed_run_keeps_the_previous_output(tmp_path):
+    corpus = corpus_of(6)
+    fx = tmp_path / "fx"
+    stage_all(fx, corpus)
+    out = tmp_path / "out" / "gen.jsonl"
+    with DatasetWriter(out, seed=0) as writer:
+        run(corpus, MockBackend(fx), tmp_path / "first", sink=writer)
+    before = {p: p.read_bytes() for p in out.parent.iterdir()}
+    twice = Corpus(records=corpus.records[:3] + corpus.records[1:2] + corpus.records[3:])
+    with pytest.raises(IntegrityError, match="duplicate instruction id"):
+        with DatasetWriter(out, seed=0) as writer:
+            run(twice, MockBackend(fx), tmp_path / "second", sink=writer)
+    assert len(writer) == 3
+    assert {p: p.read_bytes() for p in out.parent.iterdir()} == before
+    assert len(before) == 2

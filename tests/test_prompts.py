@@ -29,6 +29,17 @@ TRANSCRIPT = (Path(__file__).parent / "data" / "sample_qa_transcript.txt").read_
 )
 
 
+# Captions and few-shot text: any non-blank text, weighted towards the
+# characters that JSON escapes or that are easy to get wrong.
+_digest_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x08\x1f\x7f\u2028\u2029 é漢'), st.characters(codec="utf-8")
+    ),
+    min_size=1,
+    max_size=40,
+).filter(str.strip)
+
+
 class TestBuildPrompt:
     def test_system_message_opens_with_role_statement(self):
         envelope = build_prompt("some caption")
@@ -79,6 +90,27 @@ class TestBuildPrompt:
         first = envelope_digest(envelope)
         assert vars(envelope)["digest"] == first
         assert envelope_digest(envelope) is first
+
+    @given(
+        st.lists(_digest_text, min_size=2, max_size=2),
+        st.lists(st.tuples(_digest_text, _digest_text), max_size=2),
+        st.lists(st.tuples(_digest_text, _digest_text), max_size=2),
+    )
+    @example(["a \u2028 \"b\"", "\\ \x00 \x1f é"], [("u\u2028", "a\\")], [])
+    @settings(max_examples=60)
+    def test_digest_equals_the_hash_of_the_whole_envelope(self, captions, first, second):
+        def expected(envelope):
+            payload = json.dumps([{"role": m.role, "content": m.content}
+                                  for m in envelope.messages],
+                                 ensure_ascii=False, separators=(",", ":"))
+            return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+        # Two prefixes interleaved, each digest taken on a fresh envelope: a
+        # shared hash state that one digest updated would show in the next.
+        for caption in captions + captions:
+            for fewshot in (first, second):
+                envelope = build_prompt(caption, fewshot)
+                assert envelope_digest(envelope) == expected(envelope)
 
     def test_empty_caption_rejected(self):
         with pytest.raises(ValueError):
