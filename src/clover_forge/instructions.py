@@ -10,7 +10,6 @@ gen-qa holds no rows.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -53,10 +52,7 @@ class Instruction:
 def instruction_digest(image_id: str, kind: str, questions: list[str]) -> str:
     """Deterministic id: sha256 over (image_id, kind, ordered questions), as the
     bytes of `json.dumps([image_id, kind, questions], ensure_ascii=False)`."""
-    try:
-        payload = f'[{esc(image_id)}, {esc(kind)}, [{", ".join(map(esc, questions))}]]'
-    except TypeError:  # a value that is not a string: json's bytes for it
-        payload = json.dumps([image_id, kind, questions], ensure_ascii=False)
+    payload = f'[{esc(image_id)}, {esc(kind)}, [{", ".join(map(esc, questions))}]]'
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -74,10 +70,16 @@ def _check_content(image_id: str, kind: str, turns: tuple[QAPair, ...]) -> None:
 def make_instruction(
     image_id: str, kind: str, turns: list[tuple[str, str]] | list[QAPair], provenance: Provenance
 ) -> Instruction:
-    """Build a validated Instruction with its content-derived id."""
+    """Build a validated Instruction with its content-derived id; what `read_dataset`
+    would refuse to read back is refused here."""
     if kind not in KINDS:
         raise ValueError(f"unknown instruction kind '{kind}'")
+    if not isinstance(image_id, str):
+        raise ValueError("image_id must be a string")
     norm = tuple([t if isinstance(t, QAPair) else QAPair(*t) for t in turns])
+    for i, t in enumerate(norm, start=1):
+        if not (isinstance(t.question, str) and isinstance(t.answer, str)):
+            raise ValueError(f"instruction for image {image_id}: non-string text in turn {i}")
     _check_content(image_id, kind, norm)
     digest = instruction_digest(image_id, kind, [t.question for t in norm])
     return Instruction(digest, image_id, kind, norm, provenance)
@@ -195,6 +197,8 @@ class DatasetWriter:
         self.path, self.seed = Path(path), seed
         if self.path.is_dir():
             raise CloverError(f"cannot write {self.path}: it is a directory")
+        if (tmp := self.path.with_name(self.path.name + ".tmp")).is_dir():
+            raise CloverError(f"cannot write {self.path}: {tmp} is a directory")
         parent = next((p for p in self.path.parents if p.exists()), self.path.parent)
         if not parent.is_dir():
             raise CloverError(f"cannot write {self.path}: {parent} is not a directory")

@@ -114,54 +114,27 @@ def envelope_digest(envelope: PromptEnvelope) -> str:
 # text or after whitespace (no non-whitespace character before them), so
 # mid-line labels parse too. Only spaces and tabs may sit between numbering and
 # label: across a line break, "3." is the end of the previous answer ("seen on
-# March 3.\nQuestion:"), not numbering. `_labels` finds the same labels, on
-# ASCII text without running the regex at every character.
+# March 3.\nQuestion:"), not numbering.
 _LABEL_RE = re.compile(
     r"(?<!\S)(?:\(?\d{1,3}[.)][ \t]*)?(question|answer|q|a)\s*:",
     re.IGNORECASE,
 )
+# `_labels` runs `_LABEL_RE` spelled backwards on the reversed text, so each match
+# starts at a colon, which `re` finds by a fast scan. The matches are the same: a
+# label holds one colon, its last character, so labels never overlap and each colon
+# ends at most one; read backwards, the greedy numbering and `\(?` take the forward
+# search's leftmost start, and `(?!\S)` is `(?<!\S)` seen from the other side. Under
+# IGNORECASE only "q"/"Q" match `q`, so the word's last character names its kind.
+_LABEL_BACKWARD_RE = re.compile(
+    r":\s*(noitseuq|rewsna|q|a)(?:[ \t]*[.)]\d{1,3}\(?)?(?!\S)", re.IGNORECASE
+)
 
 
 def _labels(text: str) -> list[tuple[int, int, bool]]:
-    """(start, end, is_question) of each label, as `_LABEL_RE.finditer` finds them.
-
-    On ASCII text IGNORECASE is lowercasing (it also folds "ſ", "ı", "İ" and the
-    Kelvin sign), so labels are read off the lowercased text. A label ends at a
-    colon, and the four words end in four different letters, so at most one of
-    them sits before a colon and its whitespace. `_LABEL_RE`'s rule then needs
-    whitespace (`str.isspace`, which is `\\s`) or the text's start before the
-    numbering, where the label then starts, or else before the word."""
-    if not text.isascii():
-        return [(m.start(), m.end(), m.group(1).lower().startswith("q"))
-                for m in _LABEL_RE.finditer(text)]
-    labels, low, colon = [], text.lower(), -1
-    while (colon := low.find(":", colon + 1)) >= 0:
-        k = colon
-        while k and low[k - 1].isspace():
-            k -= 1
-        word = (k - 8 if low.endswith("question", 0, k) else k - 6 if low.endswith("answer", 0, k)
-                else k - 1 if k and low[k - 1] in "qa" else -1)
-        start = -1 if word < 0 else _label_start(text, word)
-        if start >= 0:
-            labels.append((start, colon + 1, low[word] == "q"))
-    return labels
-
-
-def _label_start(text: str, word: int) -> int:
-    """Where `_LABEL_RE` starts the label whose word starts at `word`, or -1."""
-    k = word
-    while k and text[k - 1] in " \t":
-        k -= 1
-    if k and text[k - 1] in ".)":  # numbering: "(", 1-3 digits, "." or ")"
-        d = k - 1
-        while d and text[d - 1].isdigit():
-            d -= 1
-        if 1 <= k - 1 - d <= 3:
-            if d and text[d - 1] == "(":
-                d -= 1
-            if not d or text[d - 1].isspace():
-                return d
-    return word if not word or text[word - 1].isspace() else -1
+    """(start, end, is_question) of each label, as `_LABEL_RE.finditer` finds them."""
+    n = len(text)
+    return [(n - m.end(), n - m.start(), m.group(1)[-1] in "qQ")
+            for m in _LABEL_BACKWARD_RE.finditer(text[::-1])][::-1]
 
 
 STRICT_PAIR_RANGE = (4, 5)

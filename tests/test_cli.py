@@ -1039,6 +1039,23 @@ def test_gen_qa_refuses_an_unwritable_out_before_any_backend_call(
     assert not Path(f"{out}.checkpoint.jsonl").exists()
 
 
+def test_gen_qa_refuses_an_out_whose_tmp_is_a_directory_before_any_backend_call(
+    tmp_path, pinned_config, corpus_file, counted_completions, capsys
+):
+    fixtures = tmp_path / "fx"
+    stage_fixtures(fixtures, corpus_file)
+    out = tmp_path / "gen.jsonl"
+    Path(f"{out}.tmp").mkdir()
+    code = main(["--config", pinned_config, "gen-qa", "--corpus", str(corpus_file),
+                 "--fixtures", str(fixtures), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: {out}.tmp is a directory\n"
+    calls, _ = counted_completions
+    assert calls == []
+    assert not out.exists()
+    assert not Path(f"{out}.checkpoint.jsonl").exists()
+
+
 def test_gen_qa_interrupted_keeps_the_previous_output(
     tmp_path, pinned_config, corpus_file, counted_completions
 ):

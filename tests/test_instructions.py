@@ -24,6 +24,7 @@ from clover_forge.instructions import (
     write_dataset,
 )
 from clover_forge.jsonio import encode_row
+from clover_forge.prompts import QAPair
 
 PROV = Provenance(method="template-bank", created_at="2026-01-01T00:00:00Z")
 
@@ -65,6 +66,20 @@ class TestInstruction:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             make_instruction("img", "hybrid", [("q?", "a")], PROV)
+
+    @pytest.mark.parametrize("image_id", [5, None, b"img"])
+    def test_non_string_image_id_rejected(self, image_id):
+        with pytest.raises(ValueError, match="^image_id must be a string$"):
+            make_instruction(image_id, "template", [("q?", "a")], PROV)
+
+    @pytest.mark.parametrize("turns, number", [
+        ([(5, "a")], 1),
+        ([("q?", None)], 1),
+        ([("q?", "a"), QAPair("q2?", 7)], 2),
+    ])
+    def test_non_string_turn_text_rejected(self, turns, number):
+        with pytest.raises(ValueError, match=f"non-string text in turn {number}$"):
+            make_instruction("img", "generation", turns, PROV)
 
 
 class TestAssemble:

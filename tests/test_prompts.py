@@ -298,11 +298,13 @@ def test_stem_gate_matches_running_every_rule(text):
 
 
 # Label words in any case, numbering in and out of range, every kind of
-# whitespace (\x1c-\x1f are `\s` too), and non-ASCII text that folds onto a label.
+# whitespace (\x1c-\x1f are `\s` too, and so are the Unicode spaces), non-ASCII
+# text that folds onto a label, and digits that `\d` takes ("٣") or not ("²").
 _label_tokens = st.sampled_from(
     ["q", "Q", "a", "A", "question", "QUESTION", "Answer", "answer", ":", " :", " ", "\t",
-     "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "1", "12", "123", "1234",
-     ".", ")", "(", "(1)", "2.", "x", "é", "queſtion", "ı", "-", "?"]
+     "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003", "\u3000",
+     "\u2028", "1", "12", "123", "1234", "٣", "²", ".", ")", "(", "(1)", "2.", "x", "é",
+     "queſtion", "questİon", "anſwer", "ı", "İ", "-", "?"]
 )
 
 
@@ -312,6 +314,10 @@ _label_tokens = st.sampled_from(
 @example("x(1) q: a")
 @example("\x1c12. Q: a\x1f(3)a: b")
 @example("queſtion: a Answer: b")
+@example("questİon: a anſwer: b")
+@example("٣. Q: a")
+@example("²) Q: a")
+@example("\u3000Q:\u2003a")
 @settings(max_examples=300)
 def test_label_scan_finds_the_matches_of_the_label_pattern(text):
     want = [(m.start(), m.end(), m.group(1).lower().startswith("q"))
