@@ -3,8 +3,8 @@
 Both instruction kinds share one canonical on-disk schema; `kind` is a field,
 not a file format. Datasets are immutable values and every operation here is
 pure, so hybrid assembly, subset splitting, and scale sampling compose freely.
-`DatasetWriter` is `write_dataset` a row at a time, so that a producer such as
-gen-qa holds no rows.
+`DatasetWriter` writes every dataset file and its manifest sidecar, a row at a
+time: `write_dataset` feeds it a dataset's items, and gen-qa each row it commits.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as esc
 from pathlib import Path
-from typing import Literal, get_args
+from typing import Literal, Sequence, get_args
 
 from . import __version__
-from .errors import CloverError, IntegrityError
-from .jsonio import jsonl_writer, read_json, read_records, write_json, write_jsonl
+from .errors import IntegrityError
+from .jsonio import atomic_open, encode_row, read_json, read_records, refuse_unwritable, write_json
 from .prompts import QAPair
 from .sampling import sample_indices
 
@@ -87,8 +87,10 @@ def make_instruction(
 
 @dataclass(frozen=True)
 class InstructionDataset:
+    """Items, and the seed and sources that their manifest sidecar records."""
     items: tuple[Instruction, ...] = ()
-    manifest: dict = field(default_factory=dict, compare=False)
+    seed: int | None = None
+    sources: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -113,29 +115,15 @@ def _ids_digest(ids) -> str:
 
 
 def make_dataset(
-    items: list[Instruction], *, seed: int | None = None, sources: list[str] | None = None
+    items: list[Instruction], *, seed: int | None = None, sources: Sequence[str] = ()
 ) -> InstructionDataset:
-    """Wrap items into a dataset, checking id uniqueness and filling the manifest."""
+    """Wrap items into a dataset, checking id uniqueness."""
     seen: set[str] = set()
     for it in items:
         if it.instruction_id in seen:
             raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
         seen.add(it.instruction_id)
-    return _with_manifest(tuple(items), seed, sources)
-
-
-def _with_manifest(
-    items: tuple[Instruction, ...], seed: int | None = None, sources: list[str] | None = None
-) -> InstructionDataset:
-    """A dataset of `items`, whose ids are known to be unique, and its manifest."""
-    ds = InstructionDataset(items=items)
-    manifest = _manifest(ds.counts_by_kind(), dataset_digest(ds), seed, sources)
-    return InstructionDataset(items, manifest)
-
-
-def _manifest(counts: dict, digest: str, seed: int | None, sources: list[str] | None) -> dict:
-    return {"counts": counts, "digest": digest, "sources": sources or [], "seed": seed,
-            "tool_version": __version__}
+    return InstructionDataset(tuple(items), seed, list(sources))
 
 
 def assemble_hybrid(
@@ -181,31 +169,28 @@ def sample_scale(ds: InstructionDataset, size: int, seed: int) -> InstructionDat
 
 
 def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
-    """Write items as JSONL plus a manifest sidecar, atomically."""
-    path = Path(path)
-    write_jsonl(path, ds.items)
-    write_json(path.with_name(path.name + ".manifest.json"), ds.manifest)
+    """Write items as JSONL plus a manifest sidecar, atomically, through `DatasetWriter`."""
+    with DatasetWriter(path, seed=ds.seed, sources=ds.sources) as writer:
+        for it in ds.items:
+            writer.append(it)
 
 
 class DatasetWriter:
-    """`write_dataset(make_dataset(rows, seed=seed), path)` a row at a time, holding
-    only the ids and kind counts. Built, it refuses a `path` that no write could
-    create. `<path>.tmp` opens at the first row, or at a clean exit if none came; a
-    clean exit renames it and writes the sidecar, and an exception touches neither."""
+    """The one writer of a dataset file and its manifest sidecar, a row at a time,
+    holding only the ids and kind counts. Built, it refuses a `path` or sidecar that
+    no write could create. `<path>.tmp` opens at the first row, or at a clean exit
+    if none came; a clean exit renames it and writes the sidecar, and an exception
+    touches neither."""
 
-    def __init__(self, path: str | Path, *, seed: int | None = None):
-        self.path, self.seed = Path(path), seed
-        if self.path.is_dir():
-            raise CloverError(f"cannot write {self.path}: it is a directory")
-        if (tmp := self.path.with_name(self.path.name + ".tmp")).is_dir():
-            raise CloverError(f"cannot write {self.path}: {tmp} is a directory")
-        parent = next((p for p in self.path.parents if p.exists()), self.path.parent)
-        if not parent.is_dir():
-            raise CloverError(f"cannot write {self.path}: {parent} is not a directory")
+    def __init__(self, path: str | Path, *, seed: int | None = None, sources: Sequence[str] = ()):
+        self.path, self.seed, self.sources = Path(path), seed, sources
+        self.sidecar = self.path.with_name(self.path.name + ".manifest.json")
+        refuse_unwritable(self.path)
+        refuse_unwritable(self.sidecar)
         self._ids: set[str] = set()
         self._counts = dict.fromkeys(KINDS, 0)
         self._files = ExitStack()
-        self._write = None
+        self._out = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -213,9 +198,9 @@ class DatasetWriter:
     def append(self, it: Instruction) -> None:
         if it.instruction_id in self._ids:
             raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
-        if self._write is None:
-            self._write = self._files.enter_context(jsonl_writer(self.path))
-        self._write(it)
+        if self._out is None:
+            self._out = self._files.enter_context(atomic_open(self.path))
+        self._out.write(encode_row(it) + "\n")
         self._ids.add(it.instruction_id)
         self._counts[it.kind] += 1
 
@@ -223,17 +208,18 @@ class DatasetWriter:
         return self
 
     def __exit__(self, *exc) -> None:
-        if exc[0] is None and self._write is None:
-            self._files.enter_context(jsonl_writer(self.path))
+        if exc[0] is None and self._out is None:
+            self._files.enter_context(atomic_open(self.path))
         self._files.__exit__(*exc)
         if exc[0] is None:
-            manifest = _manifest(self._counts, _ids_digest(self._ids), self.seed, None)
-            write_json(self.path.with_name(self.path.name + ".manifest.json"), manifest)
+            write_json(self.sidecar, {
+                "counts": self._counts, "digest": _ids_digest(self._ids),
+                "sources": self.sources, "seed": self.seed, "tool_version": __version__})
 
 
 def read_dataset(path: str | Path) -> InstructionDataset:
     """A dataset file's items, each checked and its id checked unique as it is
-    read. The manifest is the sidecar's, or computed when there is none."""
+    read, with the seed and sources of its sidecar, whose counts must agree."""
     path = Path(path)
     seen: set[str] = set()
 
@@ -246,14 +232,11 @@ def read_dataset(path: str | Path) -> InstructionDataset:
             raise ValueError(f"duplicate instruction id {expected}")
         seen.add(it.instruction_id)  # the string the item keeps, not a second copy
 
-    items = tuple(read_records(path, Instruction, content))
-    sidecar = path.with_name(path.name + ".manifest.json")
-    if not sidecar.exists():
-        return _with_manifest(items)
-    ds = InstructionDataset(items=items, manifest=read_json(sidecar))
-    counts = ds.counts_by_kind()
-    if ds.manifest.get("counts") and ds.manifest["counts"] != counts:
+    ds = InstructionDataset(tuple(read_records(path, Instruction, content)))
+    if not (sidecar := path.with_name(path.name + ".manifest.json")).exists():
+        return ds
+    manifest, counts = read_json(sidecar), ds.counts_by_kind()
+    if manifest.get("counts") and manifest["counts"] != counts:
         raise IntegrityError(
-            f"manifest counts {ds.manifest['counts']} disagree with file contents {counts}"
-        )
-    return ds
+            f"manifest counts {manifest['counts']} disagree with file contents {counts}")
+    return InstructionDataset(ds.items, manifest.get("seed"), manifest.get("sources", []))

@@ -33,7 +33,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import ManifestError
+from .errors import CloverError, ManifestError
 
 T = TypeVar("T")
 
@@ -309,14 +309,29 @@ def read_line_list(path: str | Path) -> list[str]:
     return list(first_line)
 
 
+def refuse_unwritable(path: str | Path) -> None:
+    """A CloverError, `cannot write <path>: …`, for a `path` that no atomic write
+    could create: a directory, one whose `<path>.tmp` is a directory, or one under a file."""
+    path = Path(path)
+    if path.is_dir():
+        raise CloverError(f"cannot write {path}: it is a directory")
+    if (tmp := path.with_name(path.name + ".tmp")).is_dir():
+        raise CloverError(f"cannot write {path}: {tmp} is a directory")
+    parent = next((p for p in path.parents if p.exists()), path.parent)
+    if not parent.is_dir():
+        raise CloverError(f"cannot write {path}: {parent} is not a directory")
+
+
 @contextmanager
 def atomic_open(path: str | Path):
     """Open `<path>.tmp` for UTF-8 text writing and rename it over `path` on success.
 
-    On any failure inside the block the temp file is deleted and the old
+    A `path` that `refuse_unwritable` refuses is refused before anything is made;
+    on any failure inside the block the temp file is deleted and the old
     `path`, if there was one, keeps its bytes.
     """
     path = Path(path)
+    refuse_unwritable(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -456,21 +471,14 @@ def _document(obj, nl: str) -> Iterator[str]:
 
 def encode_document(obj) -> str:
     """`obj` as one indent-2 JSON document and a trailing newline: json's bytes."""
-    return _DOCUMENT.encode(obj) + "\n"
-
-
-@contextmanager
-def jsonl_writer(path: str | Path) -> Iterator[Callable[[object], None]]:
-    """`atomic_open(path)`, yielding a function that writes one row as a JSONL line."""
-    with atomic_open(path) as fh:
-        yield lambda row: fh.write(encode_row(row) + "\n")
+    return "".join(_document(obj, "\n")) + "\n"
 
 
 def write_jsonl(path: str | Path, rows: Iterable) -> None:
     """Stream rows, dataclass rows or dicts, as JSONL, one compact object per line."""
-    with jsonl_writer(path) as write:
+    with atomic_open(path) as fh:
         for row in rows:
-            write(row)
+            fh.write(encode_row(row) + "\n")
 
 
 def write_json(path: str | Path, obj) -> None:

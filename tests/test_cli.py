@@ -1104,3 +1104,91 @@ def test_gen_qa_holds_no_committed_instructions(
                  "--fixtures", str(fixtures), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 40
     assert len(alive) == 3 and max(alive) - alive[0] <= 1, alive
+
+
+# Every subcommand that writes an atomic output: its argv and the first file it
+# writes, under the directory {dir}; {out} is that file.
+ATOMIC_OUTPUTS = {
+    "ingest": (["ingest", "--manifest", "{manifest}", "--out", "{out}"], "corpus.jsonl"),
+    "gen-template": (["gen-template", "--corpus", "{corpus}", "--out", "{out}"], "t.jsonl"),
+    "gen-qa": (["gen-qa", "--corpus", "{corpus}", "--fixtures", "{fixtures}", "--out", "{out}"],
+               "g.jsonl"),
+    "lint": (["lint", "--instructions", "{dataset}", "--out", "{out}"], "lint.json"),
+    "assemble": (["assemble", "--gen", "{dataset}", "--tmpl", "{dataset}", "--out", "{out}"],
+                 "h.jsonl"),
+    "split-subsets": (["split-subsets", "--dataset", "{dataset}", "--k", "2", "--out-dir", "{dir}"],
+                      "subset_1.jsonl"),
+    "sample-scale": (["sample-scale", "--dataset", "{dataset}", "--size", "2", "--out", "{out}"],
+                     "s.jsonl"),
+    "eval-vqa": (["eval-vqa", "--examples", "{examples}", "--report", "{out}"], "report.json"),
+    "kernel-check": (["kernel-check", "--out", "{out}"], "kernel.json"),
+    "fewshot-split": ([*_FEWSHOT_SPLIT[:-1], "{dir}", "--patches", "{patches}",
+                       "--test-wsis", "{wsis}"], "stomach_k1_r1.jsonl"),
+    "to-vqa": (["to-vqa", "--patches", "{patches}", "--out", "{out}"], "vqa.jsonl"),
+}
+# The ones whose output is a dataset file with a manifest sidecar.
+DATASET_OUTPUTS = ("gen-template", "gen-qa", "assemble", "split-subsets", "sample-scale")
+
+
+@pytest.mark.parametrize("command,target", [
+    (command, target) for command in sorted(ATOMIC_OUTPUTS) for target in ("out", "tmp", "sidecar")
+    if target != "sidecar" or command in DATASET_OUTPUTS
+])
+def test_an_unwritable_output_is_refused_and_the_previous_one_kept(
+    tmp_path, pinned_config, corpus_file, counted_completions, capsys, command, target
+):
+    argv, name = ATOMIC_OUTPUTS[command]
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text('{"example_id": "1", "reference": "yes", "qtype": "closed"}\n')
+    paths = {**_clinical_inputs(tmp_path), "manifest": tmp_path / "manifest.jsonl",
+             "corpus": corpus_file, "fixtures": tmp_path / "fx", "dataset": tmp_path / "d.jsonl",
+             "examples": examples, "dir": tmp_path / "o", "out": tmp_path / "o" / name}
+    stage_fixtures(paths["fixtures"], corpus_file)
+    assert main(["--config", pinned_config, "gen-template", "--corpus", str(corpus_file),
+                 "--out", str(paths["dataset"])]) == 0
+    argv = ["--config", pinned_config, *(a.format(**paths) for a in argv)]
+    out, sidecar = paths["out"], Path(f"{paths['out']}.manifest.json")
+    blocked, planted = {"out": (out, out), "tmp": (out, Path(f"{out}.tmp")),
+                        "sidecar": (sidecar, sidecar)}[target]
+    if target != "out":
+        assert main(argv) == 0
+    planted.unlink(missing_ok=True)  # the sidecar that the first run wrote
+    planted.mkdir(parents=True)
+    why = "it is a directory" if planted == blocked else f"{planted} is a directory"
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    calls, _ = counted_completions
+    paid = len(calls)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {blocked}: {why}\n"
+    assert len(calls) == paid
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("journals", [
+    {"--out": "g.jsonl", "--checkpoint": "g.jsonl"},
+    {"--checkpoint": "j.jsonl", "--skip-log": "j.jsonl"},
+    {"--skip-log": "g.jsonl.tmp"},
+    {"--checkpoint": "g.jsonl.manifest.json"},
+    {"--checkpoint": "g.jsonl.manifest.json.tmp"},
+    {"--checkpoint": "sub/../g.jsonl"},
+], ids=["checkpoint-is-out", "skip-log-is-checkpoint", "skip-log-is-out-tmp",
+        "checkpoint-is-sidecar", "checkpoint-is-sidecar-tmp", "checkpoint-is-out-by-another-path"])
+def test_gen_qa_refuses_coinciding_output_paths_before_any_backend_call(
+    tmp_path, pinned_config, corpus_file, counted_completions, capsys, journals
+):
+    fixtures = tmp_path / "fx"
+    stage_fixtures(fixtures, corpus_file)
+    flags = {"--out": "g.jsonl", **journals}
+    (tmp_path / "sub").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    code = main(["--config", pinned_config, "gen-qa", "--corpus", str(corpus_file),
+                 "--fixtures", str(fixtures),
+                 *(a for flag, name in flags.items() for a in (flag, str(tmp_path / name)))])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'g.jsonl'}: --out, its sidecar, their .tmp files, "
+        "--checkpoint and --skip-log must be distinct files\n")
+    calls, _ = counted_completions
+    assert calls == []
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before

@@ -8,10 +8,12 @@ from hypothesis import given, strategies as st
 
 from clover_forge.backends import GenerationReceipt
 from clover_forge.corpus import Corpus, ImageTextRecord, read_corpus, write_corpus
-from clover_forge.errors import IntegrityError, ManifestError
+from clover_forge import __version__
+from clover_forge.errors import CloverError, IntegrityError, ManifestError
 from clover_forge.generate import load_checkpoint
 from clover_forge.instructions import (
     KINDS,
+    DatasetWriter,
     Instruction,
     Provenance,
     assemble_hybrid,
@@ -168,7 +170,7 @@ class TestSampleScale:
         child = sample_scale(ds, 4, seed=1)
         from clover_forge.instructions import dataset_digest
 
-        assert child.manifest["sources"] == [dataset_digest(ds)]
+        assert child.sources == [dataset_digest(ds)]
 
 
 # Turn text that is not blank; the default alphabet holds every code point but
@@ -183,7 +185,7 @@ class TestSerialization:
         write_dataset(ds, path)
         back = read_dataset(path)
         assert back.items == ds.items
-        assert back.manifest == ds.manifest
+        assert (back.seed, back.sources) == (ds.seed, ds.sources)
 
     def test_sidecar_counts_must_agree(self, tmp_path):
         ds = dataset(3)
@@ -196,12 +198,13 @@ class TestSerialization:
             read_dataset(path)
 
     def test_sidecar_after_a_byte_order_mark_is_read(self, tmp_path):
-        ds = dataset(3)
+        ds = make_dataset(dataset(3).items, seed=5, sources=["parent"])
         path = tmp_path / "ds.jsonl"
         write_dataset(ds, path)
         sidecar = tmp_path / "ds.jsonl.manifest.json"
         sidecar.write_bytes(b"\xef\xbb\xbf" + sidecar.read_bytes())
-        assert read_dataset(path).manifest == ds.manifest
+        back = read_dataset(path)
+        assert (back.seed, back.sources) == (5, ["parent"])
 
     def test_unknown_kind_is_a_line_numbered_error(self, tmp_path):
         path = tmp_path / "ds.jsonl"
@@ -273,7 +276,7 @@ class TestSerialization:
             write_dataset(ds, path)
             written = path.read_bytes(), sidecar.read_bytes()
             back = read_dataset(path)
-            assert back == ds and back.manifest == ds.manifest
+            assert back == ds and (back.seed, back.sources) == (3, [])
             write_dataset(back, path)
             assert (path.read_bytes(), sidecar.read_bytes()) == written
 
@@ -292,9 +295,10 @@ class TestSerialization:
             assert done == {r.image_id for r in receipts}
             assert [encode_row(r) for r in back_receipts] == [encode_row(r) for r in receipts]
 
-    def test_dataset_manifest_counts_match_items(self):
-        ds = dataset(5)
-        assert ds.manifest["counts"] == {"generation": 5, "template": 0}
+    def test_dataset_manifest_counts_match_items(self, tmp_path):
+        write_dataset(dataset(5), tmp_path / "ds.jsonl")
+        sidecar = json.loads((tmp_path / "ds.jsonl.manifest.json").read_text(encoding="utf-8"))
+        assert sidecar["counts"] == {"generation": 5, "template": 0}
 
 
 _DIGEST_TEXT = st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from('"\\\n\té😀')),
@@ -315,3 +319,30 @@ def test_rows_read_from_one_file_share_their_provenance_strings(tmp_path):
     read = read_dataset(tmp_path / "ds.jsonl").items
     for name in ("method", "model", "created_at"):
         assert len({id(getattr(it.provenance, name)) for it in read}) == 1, name
+
+
+def test_sidecar_has_the_bytes_of_an_independent_reference(tmp_path):
+    parent = assemble_hybrid(dataset(7), dataset(5, tmpl_item, offset=50))
+    path = tmp_path / "subset.jsonl"
+    write_dataset(split_subsets(parent, 3, seed=11)[1], path)
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    def digest(ids):
+        return hashlib.sha256("".join(sorted(ids)).encode("ascii")).hexdigest()
+
+    reference = {
+        "counts": {kind: sum(r["kind"] == kind for r in rows) for kind in ("generation", "template")},
+        "digest": digest(r["instruction_id"] for r in rows),
+        "sources": [digest(it.instruction_id for it in parent.items)],
+        "seed": 11,
+        "tool_version": __version__,
+    }
+    sidecar = tmp_path / "subset.jsonl.manifest.json"
+    assert sidecar.read_text(encoding="utf-8") == json.dumps(
+        reference, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_dataset_writer_refuses_a_sidecar_that_is_a_directory_when_built(tmp_path):
+    (tmp_path / "k.jsonl.manifest.json").mkdir()
+    with pytest.raises(CloverError, match="^cannot write .*k.jsonl.manifest.json: it is a directory$"):
+        DatasetWriter(tmp_path / "k.jsonl")

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from clover_forge import jsonio
 from clover_forge.backends import BackendResponse, GenerationReceipt
 from clover_forge.corpus import ImageTextRecord, ManifestRow
-from clover_forge.errors import ManifestError
+from clover_forge.errors import CloverError, ManifestError
 from clover_forge.fewshot import FewShotSplit, PatchRecord, write_split
 from clover_forge.instructions import KINDS, Instruction, Provenance, make_instruction
 from clover_forge.jsonio import (
@@ -88,7 +88,8 @@ def test_write_json_streams_several_batches_with_the_bytes_of_encode_document(tm
     assert sum(1 for _ in jsonio._DOCUMENT.iterencode(obj)) > 2 * jsonio._CHUNKS_PER_WRITE
     path = tmp_path / "report.json"
     write_json(path, obj)
-    assert path.read_bytes() == encode_document(obj).encode("utf-8")
+    assert path.read_bytes() == (_INDENTED.encode(obj) + "\n").encode("utf-8")
+    assert encode_document(obj) == _INDENTED.encode(obj) + "\n"
 
 
 def test_write_json_peak_memory_is_well_under_the_document_size(tmp_path):
@@ -130,6 +131,26 @@ def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path, failing_
         failing_write(path)
     assert path.read_bytes() == before
     assert list(path.parent.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("case", ["directory", "tmp-directory", "under-a-file"])
+def test_atomic_open_refuses_a_path_no_write_could_create_before_making_anything(tmp_path, case):
+    path = tmp_path / "out" / "rows.jsonl"
+    if case == "under-a-file":
+        (tmp_path / "out").write_text("x")
+        path, why = path / "deeper" / "rows.jsonl", f"{tmp_path / 'out'} is not a directory"
+    else:
+        write_jsonl(path, [{"a": 1}])
+        blocked = path if case == "directory" else Path(f"{path}.tmp")
+        blocked.unlink(missing_ok=True)
+        blocked.mkdir()
+        why = "it is a directory" if case == "directory" else f"{blocked} is a directory"
+    before = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+    with pytest.raises(CloverError) as raised:
+        with atomic_open(path):
+            pytest.fail("the block ran")
+    assert str(raised.value) == f"cannot write {path}: {why}"
+    assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
 # Every row type that a reader builds: a valid row, and the paths of the keys
@@ -272,8 +293,9 @@ def test_written_score_rows_have_the_bytes_of_asdict(rows):
         write_jsonl(path, rows)
         assert path.read_text(encoding="utf-8") == "".join(map(_asdict_line, rows))
     report = MetricsReport(per_example=rows)
-    assert encode_document(report) == json.dumps(
-        dataclasses.asdict(report), ensure_ascii=False, indent=2) + "\n"
+    assert _INDENTED.encode(report) == json.dumps(
+        dataclasses.asdict(report), ensure_ascii=False, indent=2)
+    assert encode_document(report) == _INDENTED.encode(report) + "\n"
 
 
 # One row of each type that a subcommand holds in bulk.
@@ -408,7 +430,8 @@ def test_generated_encoders_write_the_bytes_of_json(row_type, data):
 def _documents():
     """One document of each kind a subcommand writes with `write_json`."""
     from clover_forge import losses, metrics
-    from clover_forge.instructions import make_dataset
+    from clover_forge import __version__
+    from clover_forge.instructions import dataset_digest, make_dataset
     from clover_forge.prompts import lint_qa
 
     items = [make_instruction(f"img{i}", "generation", [(f"q{i}?", "seen at 40x in 1999")],
@@ -418,7 +441,10 @@ def _documents():
     examples = [EvalExample("e1", "yes", "closed", prediction="yes"),
                 EvalExample("e2", "a gland", "open", prediction="gland é"),
                 EvalExample("e3", "…", "open")]
-    return {"manifest": make_dataset(items, seed=3).manifest, "lint": lint,
+    manifest = {"counts": {"generation": 3, "template": 0},
+                "digest": dataset_digest(make_dataset(items)), "sources": [], "seed": 3,
+                "tool_version": __version__}
+    return {"manifest": manifest, "lint": lint,
             "report": metrics.evaluate(examples), "kernel": losses.run_kernel_check(seed=0)}
 
 
@@ -426,7 +452,9 @@ def _documents():
 def test_write_json_writes_encode_document_for_each_document(tmp_path, kind):
     document = _documents()[kind]
     write_json(tmp_path / "doc.json", document)
-    assert (tmp_path / "doc.json").read_bytes() == encode_document(document).encode("utf-8")
+    expected = _INDENTED.encode(document) + "\n"
+    assert (tmp_path / "doc.json").read_bytes() == expected.encode("utf-8")
+    assert encode_document(document) == expected
 
 
 def test_encoders_are_built_per_type_on_first_use():
