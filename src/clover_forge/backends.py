@@ -15,7 +15,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Protocol
 
-from .config import DEFAULT_MAX_COMPLETION_TOKENS, Config
+from .config import Config
 from .errors import BackendError, ConfigError, TransientBackendError
 from .jsonio import decode
 from .prompts import PromptEnvelope, envelope_digest
@@ -169,7 +169,7 @@ def complete(
     backend: CompletionBackend,
     policy: RetryPolicy,
     rates: CostRates,
-    max_completion_tokens: int = DEFAULT_MAX_COMPLETION_TOKENS,
+    max_completion_tokens: int = Config.max_completion_tokens,
     image_id: str = "",
 ) -> tuple[str, GenerationReceipt]:
     """Run one completion with exponential-backoff retries; returns text + receipt.

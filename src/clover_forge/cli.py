@@ -62,15 +62,14 @@ def cmd_ingest(args, cfg) -> int:
     from . import corpus as corpus_mod
     corpus = corpus_mod.ingest_manifest(args.manifest, args.format)
     ingested = len(corpus)
-    dropped = corpus.meta.get("duplicate_captions_dropped", 0)
     corpus = corpus_mod.merge_and_filter(corpus, cfg.min_words)
     if args.sample is not None:
         corpus = corpus_mod.sample(corpus, args.sample, cfg.seed)
     out = _out_path(args.out, cfg, "corpus.jsonl")
     corpus_mod.write_corpus(corpus, out)
     print(
-        f"ingested {ingested} records ({dropped} duplicate captions dropped), "
-        f"wrote {len(corpus)} -> {out}"
+        f"ingested {ingested} records ({corpus.duplicate_captions_dropped} duplicate "
+        f"captions dropped), wrote {len(corpus)} -> {out}"
     )
     return 0
 
@@ -106,7 +105,7 @@ def cmd_gen_qa(args, cfg) -> int:
     skip_log = args.skip_log or str(out) + ".skips.jsonl"
     with instr_mod.DatasetWriter(out, seed=cfg.seed) as writer:  # refuses before any paid call
         files = [out, writer.sidecar, Path(checkpoint), Path(skip_log)]
-        files += [Path(f"{f}.tmp") for f in (out, writer.sidecar)]
+        files += [jsonio.temp_path(f) for f in (out, writer.sidecar)]
         if len({f.resolve() for f in files}) < len(files):
             raise CloverError(f"cannot write {out}: --out, its sidecar, their .tmp files, "
                               "--checkpoint and --skip-log must be distinct files")
@@ -218,9 +217,8 @@ def cmd_fewshot_split(args, cfg) -> int:
               "replicate's training WSIs", file=sys.stderr)
     out_dir = _out_path(args.out_dir, cfg, "splits")
     for split in splits:
-        fewshot.write_split(
-            split, out_dir / f"{args.organ}_k{args.k}_r{split.replicate_index}.jsonl"
-        )
+        name = f"{args.organ}_k{args.k}_r{split.replicate_index}.jsonl"
+        jsonio.write_jsonl(out_dir / name, [split])
     n_train = {len(s.train_patches) for s in splits}
     print(
         f"built {len(splits)} {args.k}-shot splits for {args.organ} "

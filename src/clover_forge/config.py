@@ -7,7 +7,8 @@ flags that override a key carry the key's name and are merged over the file
 once, before validation. The config path itself can come from the
 CLOVER_CONFIG environment variable. Price rates are configuration, never code,
 since vendor pricing drifts. This module imports only `errors`: the library
-modules import their defaults and choice lists from it, not the reverse.
+modules read their defaults, as `Config.<field>`, and choice lists from it,
+not the reverse.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ CONFIG_ENV = "CLOVER_CONFIG"
 MANIFEST_FORMATS = ("jsonl", "csv")
 Organ = Literal["stomach", "intestine"]
 ORGANS = get_args(Organ)
-DEFAULT_MIN_WORDS = 25
-DEFAULT_MAX_COMPLETION_TOKENS = 512
-DEFAULT_BUDGET_USD = Decimal("8.00")
-DEFAULT_MAX_CONCURRENCY = 4
 
 
 def _key(section: str, default, low=None, high=None):
@@ -52,17 +49,17 @@ class Config:
     corpus: str = _key("paths", "")
     templates: str = _key("paths", "")
     fixtures: str = _key("paths", "")
-    min_words: int = _key("corpus", DEFAULT_MIN_WORDS, low=1)
+    min_words: int = _key("corpus", 25, low=1)
     mode: str = _key("backend", "mock")
     endpoint: str = _key("backend", "")
     model: str = _key("backend", "gpt-3.5-turbo")
     rate_in_usd_per_1k: Decimal = _key("backend", Decimal("0.0015"), low=0, high=_RATE_CEILING)
     rate_out_usd_per_1k: Decimal = _key("backend", Decimal("0.002"), low=0, high=_RATE_CEILING)
-    max_concurrency: int = _key("backend", DEFAULT_MAX_CONCURRENCY, low=1)
+    max_concurrency: int = _key("backend", 4, low=1)
     max_retries: int = _key("backend", 5, low=0)
     backoff_base_s: float = _key("backend", 1.0, low=0)
-    max_completion_tokens: int = _key("backend", DEFAULT_MAX_COMPLETION_TOKENS, low=1)
-    budget_usd: Decimal = _key("generation", DEFAULT_BUDGET_USD, low=0)
+    max_completion_tokens: int = _key("backend", 512, low=1)
+    budget_usd: Decimal = _key("generation", Decimal("8.00"), low=0)
     strict_parse: bool = _key("generation", False)
 
 

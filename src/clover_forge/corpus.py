@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .config import DEFAULT_MIN_WORDS, MANIFEST_FORMATS
+from .config import MANIFEST_FORMATS, Config
 from .errors import ManifestError
 from .jsonio import read_records, write_jsonl
 from .sampling import sample_indices
@@ -42,7 +42,7 @@ class ManifestRow:
 @dataclass(frozen=True)
 class Corpus:
     records: tuple[ImageTextRecord, ...] = ()
-    meta: dict = field(default_factory=dict, compare=False)
+    duplicate_captions_dropped: int = field(default=0, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -61,7 +61,7 @@ def ingest_manifest(path: str | Path, fmt: str = "jsonl") -> Corpus:
 
     Rows sharing an image_id have their captions appended in file order; an
     exact duplicate (image_id, caption) pair is dropped and counted in
-    Corpus.meta["duplicate_captions_dropped"].
+    `Corpus.duplicate_captions_dropped`, which merging and sampling keep.
     """
     if fmt not in MANIFEST_FORMATS:
         raise ManifestError(f"unknown manifest format '{fmt}' (expected jsonl or csv)")
@@ -85,7 +85,7 @@ def ingest_manifest(path: str | Path, fmt: str = "jsonl") -> Corpus:
         ImageTextRecord(image_id, head.image_ref or "", tuple(captions), source=head.source or "")
         for image_id, (head, captions) in images.items()
     )
-    return Corpus(records=records, meta={"duplicate_captions_dropped": duplicates})
+    return Corpus(records, duplicate_captions_dropped=duplicates)
 
 
 def merge_captions(record: ImageTextRecord) -> str:
@@ -93,7 +93,7 @@ def merge_captions(record: ImageTextRecord) -> str:
     return " ".join(" ".join(c.split()) for c in record.captions).strip()
 
 
-def merge_and_filter(corpus: Corpus, min_words: int = DEFAULT_MIN_WORDS) -> Corpus:
+def merge_and_filter(corpus: Corpus, min_words: int = Config.min_words) -> Corpus:
     """Set merged_caption on every record and drop those under min_words.
 
     Idempotent: the merge recomputes from the untouched caption list, so a
@@ -106,19 +106,13 @@ def merge_and_filter(corpus: Corpus, min_words: int = DEFAULT_MIN_WORDS) -> Corp
         merged = merge_captions(record)
         if word_count(merged) >= min_words:
             kept.append(replace(record, merged_caption=merged))
-    return Corpus(records=tuple(kept), meta=dict(corpus.meta))
+    return replace(corpus, records=tuple(kept))
 
 
 def sample(corpus: Corpus, size: int, seed: int) -> Corpus:
     """Uniform without-replacement sample of `size` records, in sampled order."""
-    n = len(corpus.records)
-    if size > n:
-        raise ValueError(f"requested sample of {size} records but corpus has {n}")
-    picked = sample_indices(n, size, seed)
-    return Corpus(
-        records=tuple(corpus.records[i] for i in picked),
-        meta=dict(corpus.meta),
-    )
+    picked = sample_indices(len(corpus.records), size, seed)
+    return replace(corpus, records=tuple(corpus.records[i] for i in picked))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

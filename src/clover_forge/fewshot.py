@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Literal, get_args
 
 from .config import ORGANS, Organ
-from .jsonio import read_records, write_jsonl
+from .jsonio import read_records
 from .metrics import EvalExample
 from .sampling import derive_seed, draw
 
@@ -146,11 +146,6 @@ def make_kshot(
             )
         )
     return splits
-
-
-def write_split(split: FewShotSplit, path: str | Path) -> None:
-    """Write the split as a one-row JSONL file."""
-    write_jsonl(path, [split])
 
 
 def to_vqa(patches: list[PatchRecord]) -> list[EvalExample]:

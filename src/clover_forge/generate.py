@@ -31,7 +31,7 @@ from .backends import (
     complete,
     estimate_prompt_tokens,
 )
-from .config import DEFAULT_BUDGET_USD, DEFAULT_MAX_COMPLETION_TOKENS, DEFAULT_MAX_CONCURRENCY
+from .config import Config
 from .corpus import Corpus
 from .errors import BackendError, BudgetExceededError, CloverError, ParseError
 from .instructions import Instruction, Provenance, make_instruction
@@ -85,7 +85,7 @@ def estimate_run_cost(
     corpus: Corpus,
     rates: CostRates,
     fewshot: list[tuple[str, str]] = (),
-    max_completion_tokens: int = DEFAULT_MAX_COMPLETION_TOKENS,
+    max_completion_tokens: int = Config.max_completion_tokens,
 ) -> Decimal:
     """Projected worst-case spend for a full run; no backend is contacted."""
     total = Decimal(0)
@@ -116,13 +116,13 @@ def generate_instructions(
     corpus: Corpus,
     backend: CompletionBackend,
     fewshot: list[tuple[str, str]] = (),
-    budget_usd: Decimal = DEFAULT_BUDGET_USD,
+    budget_usd: Decimal = Config.budget_usd,
     strict: bool = False,
     *,
     rates: CostRates,
     policy: RetryPolicy,
-    max_completion_tokens: int = DEFAULT_MAX_COMPLETION_TOKENS,
-    max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
+    max_completion_tokens: int = Config.max_completion_tokens,
+    max_concurrency: int = Config.max_concurrency,
     checkpoint_path: str | Path,
     skip_log_path: str | Path,
     created_at: str = "",

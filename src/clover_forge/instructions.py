@@ -159,13 +159,8 @@ def split_subsets(
 
 def sample_scale(ds: InstructionDataset, size: int, seed: int) -> InstructionDataset:
     """Uniform without-replacement sample of `size` items."""
-    n = len(ds.items)
-    if size > n:
-        raise ValueError(f"requested sample of {size} items but dataset has {n}")
-    picked = sample_indices(n, size, seed)
-    return make_dataset(
-        [ds.items[i] for i in picked], seed=seed, sources=[dataset_digest(ds)]
-    )
+    picked = sample_indices(len(ds.items), size, seed)
+    return make_dataset([ds.items[i] for i in picked], seed=seed, sources=[dataset_digest(ds)])
 
 
 def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
@@ -178,9 +173,10 @@ def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
 class DatasetWriter:
     """The one writer of a dataset file and its manifest sidecar, a row at a time,
     holding only the ids and kind counts. Built, it refuses a `path` or sidecar that
-    no write could create. `<path>.tmp` opens at the first row, or at a clean exit
-    if none came; a clean exit renames it and writes the sidecar, and an exception
-    touches neither."""
+    no write could create. `<path>.tmp` opens at the first row, or at a clean exit if
+    none came, never on entry, since `atomic_open` makes `path`'s directory and truncates
+    `<path>.tmp`, and gen-qa must first refuse a bad checkpoint or a --checkpoint that
+    is `<path>.tmp`. A clean exit renames it and writes the sidecar; an exception, neither."""
 
     def __init__(self, path: str | Path, *, seed: int | None = None, sources: Sequence[str] = ()):
         self.path, self.seed, self.sources = Path(path), seed, sources

@@ -309,13 +309,18 @@ def read_line_list(path: str | Path) -> list[str]:
     return list(first_line)
 
 
+def temp_path(path: str | Path) -> Path:
+    """`<path>.tmp`, the file an atomic write of `path` fills before the rename."""
+    return Path(f"{path}.tmp")
+
+
 def refuse_unwritable(path: str | Path) -> None:
     """A CloverError, `cannot write <path>: …`, for a `path` that no atomic write
     could create: a directory, one whose `<path>.tmp` is a directory, or one under a file."""
     path = Path(path)
     if path.is_dir():
         raise CloverError(f"cannot write {path}: it is a directory")
-    if (tmp := path.with_name(path.name + ".tmp")).is_dir():
+    if (tmp := temp_path(path)).is_dir():
         raise CloverError(f"cannot write {path}: {tmp} is a directory")
     parent = next((p for p in path.parents if p.exists()), path.parent)
     if not parent.is_dir():
@@ -333,7 +338,7 @@ def atomic_open(path: str | Path):
     path = Path(path)
     refuse_unwritable(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = temp_path(path)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh

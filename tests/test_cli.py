@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import json
+import re
+import shlex
 from decimal import Decimal
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 
 from clover_forge import fewshot
 from clover_forge.backends import MockBackend
-from clover_forge.cli import main
+from clover_forge.cli import build_parser, main
 from clover_forge.instructions import Instruction, instruction_digest
 from clover_forge.jsonio import read_jsonl
 from clover_forge.prompts import build_prompt, envelope_digest
@@ -1192,3 +1194,70 @@ def test_gen_qa_refuses_coinciding_output_paths_before_any_backend_call(
     calls, _ = counted_completions
     assert calls == []
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_lint_reports_each_dirty_row_and_its_violations(tmp_path, pinned_config, capsys):
+    # The answer starts at offset 38 of the rendered text, after
+    # "Question: Describe the image.\nAnswer: ".
+    answers = {1: "Glands seen at 40x.", 2: "Scanned on March 3 in 2019.", 3: CAPTION,
+               4: "The title mentions gastric glands."}
+    rows = {n: _instruction(n, pairs=(("Describe the image.", a),)) for n, a in answers.items()}
+    dataset, report = tmp_path / "d.jsonl", tmp_path / "lint.json"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows.values()))
+    code = main(["--config", pinned_config, "lint", "--instructions", str(dataset),
+                 "--out", str(report)])
+    assert code == 0
+    assert capsys.readouterr().out == "linted 4 instructions: 3 dirty, 5 violations\n"
+    expected = {
+        1: [("MAGNIFICATION", [53, 56], "40x")],
+        2: [("DATE", [49, 56], "March 3"), ("DATE", [60, 64], "2019")],
+        4: [("META_PHRASE", [42, 47], "title"), ("META_PHRASE", [48, 56], "mentions")],
+    }
+    assert json.loads(report.read_text()) == [
+        {"instruction_id": rows[n]["instruction_id"], "image_id": f"img{n}",
+         "violations": [{"rule_id": r, "span": s, "excerpt": e} for r, s, e in found]}
+        for n, found in expected.items()
+    ]
+
+
+def test_ingest_sample_is_seeded_and_refuses_an_oversample(
+    tmp_path, pinned_config, corpus_file, capsys
+):
+    manifest = corpus_file.parent / "manifest.jsonl"
+
+    def ingest(seed, size, out):
+        return main(["--config", pinned_config, "--seed", str(seed), "ingest", "--manifest",
+                     str(manifest), "--sample", str(size), "--out", str(out)])
+
+    a, b, c, over = (tmp_path / f"{name}.jsonl" for name in "abcd")
+    assert ingest(1, 4, a) == ingest(1, 4, b) == ingest(2, 4, c) == 0
+    assert a.read_bytes() == b.read_bytes()
+    ids = [[row["image_id"] for _, row in read_jsonl(p)] for p in (a, c)]
+    assert len(ids[0]) == len(ids[1]) == 4 and ids[0] != ids[1]
+    capsys.readouterr()
+    assert ingest(1, 7, over) == 1
+    assert capsys.readouterr().err == "error: cannot sample 7 items from a population of 6\n"
+    assert not over.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each `clover-forge` line in README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("clover-forge ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) == 15
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_cost_ratio_example_prints_its_stated_ratio(capsys):
+    (argv,) = [argv for argv in _readme_commands() if argv[0] == "cost-ratio"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "36.93\n"

@@ -82,7 +82,7 @@ class TestIngest:
         )
         corpus = ingest_manifest(path, "jsonl")
         assert corpus.records[0].captions == ("x", "y")
-        assert corpus.meta["duplicate_captions_dropped"] == 1
+        assert corpus.duplicate_captions_dropped == 1
 
     def test_csv_ingest(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -101,7 +101,7 @@ class TestIngest:
         )
         corpus = ingest_manifest(path, "csv")
         assert corpus.records[0] == ImageTextRecord("A", "a.png", ("first caption",), source="web")
-        assert corpus.meta["duplicate_captions_dropped"] == 1
+        assert corpus.duplicate_captions_dropped == 1
 
     def test_csv_missing_header_column(self, tmp_path):
         path = tmp_path / "m.csv"

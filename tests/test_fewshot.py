@@ -9,13 +9,13 @@ from clover_forge.fewshot import (
     VQA_ANSWER_NEGATIVE,
     VQA_ANSWER_POSITIVE,
     VQA_QUESTION,
+    PatchRecord,
     ingest_patches,
     make_kshot,
     to_vqa,
-    write_split,
     wsi_classes,
 )
-from clover_forge.jsonio import read_line_list
+from clover_forge.jsonio import read_line_list, write_jsonl
 from clover_forge.metrics import evaluate
 
 
@@ -150,11 +150,28 @@ class TestKShot:
         with pytest.raises(ValueError, match=r"only 3 eligible WSIs, need k=4"):
             make_kshot(patches, "stomach", 4, ["s_t4", "s_n4"], seed=0)
 
+    @pytest.mark.parametrize("organ, k, replicates, error", [
+        ("colon", 1, 1, "unknown organ 'colon'"),
+        ("stomach", 0, 1, "k and replicates must be >= 1"),
+        ("stomach", 1, 0, "k and replicates must be >= 1"),
+        ("intestine", 1, 1, "no patches for organ 'intestine'"),
+    ])
+    def test_bad_arguments_are_refused(self, small_manifest, organ, k, replicates, error):
+        patches = ingest_patches(small_manifest)
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            make_kshot(patches, organ, k, ["s_t4", "s_n4"], seed=0, replicates=replicates)
+
+    def test_test_wsis_of_another_organ_only_are_refused(self, small_manifest):
+        patches = ingest_patches(small_manifest)
+        patches.append(PatchRecord("p999", "i_t1", "intestine", "tumor"))
+        with pytest.raises(ValueError, match="^none of the test WSIs appear in this organ's"):
+            make_kshot(patches, "stomach", 1, ["i_t1"], seed=0)
+
     def test_split_file_roundtrip(self, small_manifest, tmp_path):
         patches = ingest_patches(small_manifest)
         (split, *_) = make_kshot(patches, "stomach", 1, ["s_t4", "s_n4"], seed=1)
         out = tmp_path / "split.jsonl"
-        write_split(split, out)
+        write_jsonl(out, [split])
         obj = json.loads(out.read_text())
         assert obj["k"] == 1
         assert [p["patch_id"] for p in obj["train_patches"]] == [

@@ -15,7 +15,7 @@ from clover_forge import jsonio
 from clover_forge.backends import BackendResponse, GenerationReceipt
 from clover_forge.corpus import ImageTextRecord, ManifestRow
 from clover_forge.errors import CloverError, ManifestError
-from clover_forge.fewshot import FewShotSplit, PatchRecord, write_split
+from clover_forge.fewshot import FewShotSplit, PatchRecord
 from clover_forge.instructions import KINDS, Instruction, Provenance, make_instruction
 from clover_forge.jsonio import (
     atomic_open,
@@ -346,7 +346,7 @@ _PATCH = st.builds(PatchRecord, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT)
 def test_written_split_has_the_bytes_of_asdict(split):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "split.jsonl"
-        write_split(split, path)
+        jsonio.write_jsonl(path, [split])
         assert path.read_text(encoding="utf-8") == _asdict_line(split)
 
 

@@ -163,6 +163,14 @@ class TestParse:
         with pytest.raises(ParseError, match="question 2"):
             parse_qa(text)
 
+    def test_two_questions_in_a_row_name_the_unanswered_one(self):
+        with pytest.raises(ParseError, match=r"^question 2 has no answer$"):
+            parse_qa("Question: a? Answer: b. Question: c? Question: d? Answer: e.")
+
+    def test_empty_question_names_its_pair(self):
+        with pytest.raises(ParseError, match=r"^pair 2: empty question$"):
+            parse_qa("Question: a? Answer: b. Question: Answer: c.")
+
     def test_answer_before_question_rejected(self):
         with pytest.raises(ParseError, match="before"):
             parse_qa("Answer: orphan.")
