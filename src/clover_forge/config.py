@@ -1,14 +1,14 @@
 """Run configuration: one table of settings, read from an INI file.
 
-Each setting is declared once, as a `Config` field: its default is the
-program's default, its type is the type a file value is parsed as, and its
-metadata gives its INI section and, for a number, its accepted range. CLI
-flags that override a key carry the key's name and are merged over the file
-once, before validation. The config path itself can come from the
-CLOVER_CONFIG environment variable. Price rates are configuration, never code,
-since vendor pricing drifts. This module imports only `errors`: the library
-modules read their defaults, as `Config.<field>`, and choice lists from it,
-not the reverse.
+The file is decoded as every other input is, UTF-8 with a leading BOM skipped.
+Each setting is declared once, as a `Config` field: its default is the program's
+default, its type is the type a file value is parsed as, and its metadata gives
+its INI section and, for a number, its accepted range. CLI flags that override a
+key carry the key's name and are merged over the file once, before validation.
+The config path itself can come from the CLOVER_CONFIG environment variable.
+Price rates are configuration, never code, since vendor pricing drifts. This
+module imports only `errors`: the library modules read their defaults, as
+`Config.<field>`, and choice lists from it, not the reverse.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Co
     if path:
         path = Path(path)
         try:
-            parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+            parser.read_string(path.read_text(encoding="utf-8-sig"), source=str(path))
         except (configparser.Error, OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path}: {_file_error(exc)}") from exc
     values = {

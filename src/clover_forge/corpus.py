@@ -1,9 +1,9 @@
 """Image-caption corpus: manifest ingestion, caption merging, seeded sampling.
 
-A corpus row associates one image with one or more captions scraped from its
-source. Ingestion folds rows that share an image id into a single record,
-merging keeps the captions' original order, and the word-count filter drops
-records whose merged caption is too short to be a useful description.
+Ingestion folds manifest rows that share an image id into one record, captions
+in file order; merging joins them, and the word-count filter drops records whose
+merged caption is too short to be a useful description. `read_corpus` refuses a
+blank merged caption, so every step that reads a corpus file gets a merged one.
 """
 
 from __future__ import annotations
@@ -122,11 +122,13 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
 def read_corpus(path: str | Path) -> Corpus:
     seen: set[str] = set()
 
-    def unique(record: ImageTextRecord) -> None:
+    def check(record: ImageTextRecord) -> None:
         if not record.image_id:
             raise ValueError("missing image_id")
         if record.image_id in seen:
             raise ValueError(f"duplicate image_id {record.image_id}")
+        if not record.merged_caption.strip():
+            raise ValueError(f"empty merged_caption for image {record.image_id}")
         seen.add(record.image_id)
 
-    return Corpus(records=tuple(read_records(path, ImageTextRecord, unique)))
+    return Corpus(records=tuple(read_records(path, ImageTextRecord, check)))

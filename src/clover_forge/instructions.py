@@ -3,8 +3,8 @@
 Both instruction kinds share one canonical on-disk schema; `kind` is a field,
 not a file format. Datasets are immutable values and every operation here is
 pure, so hybrid assembly, subset splitting, and scale sampling compose freely.
-`DatasetWriter` writes every dataset file and its manifest sidecar, a row at a
-time: `write_dataset` feeds it a dataset's items, and gen-qa each row it commits.
+`DatasetWriter` writes every dataset file and its `sidecar_path` manifest, a row
+at a time, for `write_dataset` and gen-qa; `read_dataset` checks its counts and digest.
 """
 
 from __future__ import annotations
@@ -170,6 +170,11 @@ def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
             writer.append(it)
 
 
+def sidecar_path(path: str | Path) -> Path:
+    """`<path>.manifest.json`, the manifest sidecar of the dataset file at `path`."""
+    return Path(f"{path}.manifest.json")
+
+
 class DatasetWriter:
     """The one writer of a dataset file and its manifest sidecar, a row at a time,
     holding only the ids and kind counts. Built, it refuses a `path` or sidecar that
@@ -180,7 +185,7 @@ class DatasetWriter:
 
     def __init__(self, path: str | Path, *, seed: int | None = None, sources: Sequence[str] = ()):
         self.path, self.seed, self.sources = Path(path), seed, sources
-        self.sidecar = self.path.with_name(self.path.name + ".manifest.json")
+        self.sidecar = sidecar_path(self.path)
         refuse_unwritable(self.path)
         refuse_unwritable(self.sidecar)
         self._ids: set[str] = set()
@@ -215,7 +220,7 @@ class DatasetWriter:
 
 def read_dataset(path: str | Path) -> InstructionDataset:
     """A dataset file's items, each checked and its id checked unique as it is
-    read, with the seed and sources of its sidecar, whose counts must agree."""
+    read, with the seed and sources of its sidecar, whose counts and digest must agree."""
     path = Path(path)
     seen: set[str] = set()
 
@@ -229,10 +234,10 @@ def read_dataset(path: str | Path) -> InstructionDataset:
         seen.add(it.instruction_id)  # the string the item keeps, not a second copy
 
     ds = InstructionDataset(tuple(read_records(path, Instruction, content)))
-    if not (sidecar := path.with_name(path.name + ".manifest.json")).exists():
+    if not (sidecar := sidecar_path(path)).exists():
         return ds
-    manifest, counts = read_json(sidecar), ds.counts_by_kind()
-    if manifest.get("counts") and manifest["counts"] != counts:
-        raise IntegrityError(
-            f"manifest counts {manifest['counts']} disagree with file contents {counts}")
+    manifest = read_json(sidecar)
+    for key, actual in (("counts", ds.counts_by_kind()), ("digest", _ids_digest(seen))):
+        if manifest.get(key) and manifest[key] != actual:
+            raise IntegrityError(f"{sidecar}: {key} {manifest[key]}, but the rows give {actual}")
     return InstructionDataset(ds.items, manifest.get("seed"), manifest.get("sources", []))

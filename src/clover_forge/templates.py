@@ -66,11 +66,6 @@ def build_template_instructions(
     """
     out = []
     for record in corpus.records:
-        if not record.merged_caption:
-            raise ValueError(
-                f"record {record.image_id} has an empty merged caption; "
-                "run the merge/filter step first"
-            )
         rng = random.Random(derive_seed(seed, record.image_id))
         question = bank.statements[rng.randrange(len(bank.statements))]
         out.append(

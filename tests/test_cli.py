@@ -1261,3 +1261,74 @@ def test_readme_cost_ratio_example_prints_its_stated_ratio(capsys):
     (argv,) = [argv for argv in _readme_commands() if argv[0] == "cost-ratio"]
     assert main(argv) == 0
     assert capsys.readouterr().out == "36.93\n"
+
+
+@pytest.mark.parametrize("command", ["gen-qa", "cost-estimate", "gen-template"])
+def test_a_blank_merged_caption_is_refused_before_any_backend_call(
+    tmp_path, pinned_config, counted_completions, capsys, command
+):
+    corpus, fixtures, out = (tmp_path / "corpus.jsonl", tmp_path / "fx",
+                             tmp_path / "run" / "o.jsonl")
+    captions = [" ".join(f"w{i}t{j}" for j in range(30)) for i in range(60)]
+    captions[50] = ""
+    corpus.write_text("".join(
+        json.dumps({"image_id": f"img{i}", "captions": [c], "merged_caption": c}) + "\n"
+        for i, c in enumerate(captions)))
+    fixtures.mkdir()
+    for caption in filter(None, captions):
+        (fixtures / f"{envelope_digest(build_prompt(caption))}.txt").write_text(COMPLETION)
+    argv = {"gen-qa": ["--fixtures", str(fixtures), "--out", str(out)],
+            "gen-template": ["--out", str(out)], "cost-estimate": []}[command]
+    assert main(["--config", pinned_config, command, "--corpus", str(corpus), *argv]) == 1
+    assert capsys.readouterr() == ("", "error: line 51: empty merged_caption for image img50\n")
+    calls, _ = counted_completions
+    assert calls == []
+    assert not out.parent.exists()  # no --out, sidecar, checkpoint or skip log
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ("", ["gen-qa", "--corpus", "{corpus}", "--out", "{out}"],
+         "mock backend needs --fixtures pointing at a fixture directory"),
+        ("", ["gen-template", "--out", "{out}"],
+         "no corpus given: pass --corpus or set [paths] corpus in the config"),
+        ("[backend]\nmode = dry\n", ["gen-template", "--corpus", "{corpus}", "--out", "{out}"],
+         "backend mode must be live or mock, got 'dry'"),
+    ],
+    ids=["mock-without-fixtures", "no-corpus", "unknown-mode"],
+)
+def test_a_run_without_what_it_needs_names_it_and_writes_nothing(
+    tmp_path, corpus_file, capsys, config, argv, message
+):
+    cfg, out = tmp_path / "c.ini", tmp_path / "run" / "o.jsonl"
+    cfg.write_text(config)
+    capsys.readouterr()
+    code = main(["--config", str(cfg),
+                 *(a.format(corpus=corpus_file, out=out) for a in argv)])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.parent.exists()
+
+
+def test_lint_refuses_the_rows_of_one_sample_beside_the_sidecar_of_another(
+    tmp_path, pinned_config, capsys
+):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text("".join(json.dumps(_instruction(n)) + "\n" for n in range(12)))
+    samples = {seed: tmp_path / f"s{seed}.jsonl" for seed in (1, 2)}
+    for seed, out in samples.items():
+        assert main(["--config", pinned_config, "--seed", str(seed), "sample-scale",
+                     "--dataset", str(dataset), "--size", "4", "--out", str(out)]) == 0
+    samples[1].write_bytes(samples[2].read_bytes())
+    sidecars = {seed: json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+                for seed, out in samples.items()}
+    assert sidecars[1]["counts"] == sidecars[2]["counts"]
+    capsys.readouterr()
+    code = main(["--config", pinned_config, "lint", "--instructions", str(samples[1]),
+                 "--out", str(tmp_path / "lint.json")])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {samples[1]}.manifest.json: digest "
+                                   f"{sidecars[1]['digest']}, but the rows give "
+                                   f"{sidecars[2]['digest']}\n")
+    assert not (tmp_path / "lint.json").exists()

@@ -45,6 +45,14 @@ def test_readme_config_block_loads_to_the_defaults(tmp_path):
     ]
 
 
+def test_a_byte_order_mark_is_read_like_any_other_input(tmp_path):
+    text = "[core]\nseed = 3\n[backend]\nmode = live\nendpoint = http://localhost:9\n"
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(marked) == load_config(plain) != Config()
+
+
 def test_retired_keys_are_ignored(tmp_path):
     path = write_config(
         tmp_path,
@@ -184,6 +192,7 @@ MALFORMED = {
     "duplicate-section": (b"[core]\nseed = 1\n[core]\nseed = 2\n", 3),
     "line-without-value": (b"[core]\nseed\n", 2),
     "not-utf-8": (b"[core]\nseed = \xff\n", 2),
+    "not-utf-8-after-a-byte-order-mark": (b"\xef\xbb\xbf[core]\nseed = \xff\n", 2),
     "duplicate-key": (b"[core]\nseed = 1\nseed = 2\n", 3),
 }
 

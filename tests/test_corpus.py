@@ -114,6 +114,12 @@ class TestIngest:
         with pytest.raises(ManifestError, match="line 1"):
             ingest_manifest(path, "jsonl")
 
+    def test_blank_caption_names_its_image(self, jsonl_writer):
+        path = jsonl_writer("m.jsonl", [{"image_id": "a", "caption": "  "}])
+        with pytest.raises(ManifestError) as caught:
+            ingest_manifest(path, "jsonl")
+        assert str(caught.value) == "line 1: missing caption for image a"
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ManifestError, match="format"):
             ingest_manifest(tmp_path / "x.xml", "xml")
@@ -203,6 +209,24 @@ def test_corpus_roundtrip(tmp_path):
     write_corpus(corpus, path)
     back = read_corpus(path)
     assert back.records == corpus.records
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"image_id": "A", "merged_caption": ""}, "line 1: empty merged_caption for image A"),
+        ({"image_id": "A", "merged_caption": " \t"}, "line 1: empty merged_caption for image A"),
+        ({"image_id": "A"}, "line 1: empty merged_caption for image A"),
+        ({"image_id": "", "merged_caption": "x"}, "line 1: missing image_id"),
+    ],
+    ids=["empty-caption", "whitespace-caption", "unmerged", "empty-id"],
+)
+def test_read_corpus_refuses_a_row_no_step_could_use(tmp_path, row, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(ManifestError) as caught:
+        read_corpus(path)
+    assert str(caught.value) == message
 
 
 def test_read_corpus_rejects_duplicate_ids(tmp_path):

@@ -293,6 +293,12 @@ def test_zero_budget_rejected(tmp_path):
         run(corpus_of(1), MockBackend(tmp_path), tmp_path, budget_usd=Decimal(0))
 
 
+def test_concurrency_below_one_rejected(tmp_path):
+    with pytest.raises(ValueError, match=r"^max_concurrency must be >= 1, got 0$"):
+        run(corpus_of(1), MockBackend(tmp_path), tmp_path, max_concurrency=0)
+    assert not (tmp_path / "checkpoint.jsonl").exists()
+
+
 @pytest.mark.parametrize("cap", [0, -400])
 def test_completion_cap_below_one_rejected(tmp_path, cap):
     # A reservation without the completion would admit more than the budget covers.

@@ -197,6 +197,19 @@ class TestSerialization:
         with pytest.raises(IntegrityError, match="counts"):
             read_dataset(path)
 
+    def test_sidecar_digest_must_agree_with_the_ids_read(self, tmp_path):
+        # Equal kind counts, other ids: the rows of one sample beside another's sidecar.
+        path, other = tmp_path / "ds.jsonl", tmp_path / "other.jsonl"
+        write_dataset(dataset(3), path)
+        write_dataset(dataset(3, offset=10), other)
+        path.write_bytes(other.read_bytes())
+        sidecar, ids = tmp_path / "ds.jsonl.manifest.json", dataset(3, offset=10).ids()
+        stale = json.loads(sidecar.read_text(encoding="utf-8"))["digest"]
+        actual = hashlib.sha256("".join(sorted(ids)).encode("ascii")).hexdigest()
+        with pytest.raises(IntegrityError) as caught:
+            read_dataset(path)
+        assert str(caught.value) == f"{sidecar}: digest {stale}, but the rows give {actual}"
+
     def test_sidecar_after_a_byte_order_mark_is_read(self, tmp_path):
         ds = make_dataset(dataset(3).items, seed=5, sources=["parent"])
         path = tmp_path / "ds.jsonl"
@@ -238,7 +251,7 @@ class TestSerialization:
                 image_id=st.text(min_size=1, max_size=8),
                 image_ref=st.text(max_size=8),
                 captions=st.lists(st.text(max_size=8), max_size=3).map(tuple),
-                merged_caption=st.text(max_size=8),
+                merged_caption=st.text(min_size=1, max_size=8).filter(str.strip),
                 source=st.text(max_size=8),
             ),
             max_size=4,

@@ -90,5 +90,5 @@ class TestBuild:
 
     def test_unmerged_record_names_image(self):
         corpus = Corpus(records=(ImageTextRecord(image_id="raw", captions=("x",)),))
-        with pytest.raises(ValueError, match="raw"):
+        with pytest.raises(ValueError, match="^instruction for image raw: empty text in turn 1$"):
             build_template_instructions(corpus, default_bank(), seed=0)
