@@ -81,10 +81,11 @@ def cmd_gen_template(args, cfg) -> int:
     items = templates.build_template_instructions(
         corpus, bank, cfg.seed, created_at=_created_at(cfg)
     )
-    ds = instr_mod.make_dataset(items, seed=cfg.seed)
     out = _out_path(args.out, cfg, "template_instructions.jsonl")
-    instr_mod.write_dataset(ds, out)
-    print(f"built {len(ds)} template instructions from bank of {len(bank)} -> {out}")
+    with instr_mod.DatasetWriter(out, seed=cfg.seed) as writer:
+        for it in items:
+            writer.append(it)
+    print(f"built {len(writer)} template instructions from bank of {len(bank)} -> {out}")
     return 0
 
 
@@ -129,55 +130,61 @@ def cmd_gen_qa(args, cfg) -> int:
 
 def cmd_lint(args, cfg) -> int:
     from . import instructions as instr_mod, jsonio, prompts
-    ds = instr_mod.read_dataset(args.instructions)
     rows = []
     total = 0
-    for it in ds.items:
-        report = prompts.lint_qa(it.turns)
-        total += len(report.violations)
-        if not report.ok:
-            rows.append({"instruction_id": it.instruction_id, "image_id": it.image_id,
-                         "violations": report.violations})
+    with instr_mod.DatasetReader(args.instructions) as dataset:
+        for it in dataset:
+            report = prompts.lint_qa(it.turns)
+            total += len(report.violations)
+            if not report.ok:
+                rows.append({"instruction_id": it.instruction_id, "image_id": it.image_id,
+                             "violations": report.violations})
     if args.out:
         jsonio.write_json(args.out, rows)
-    print(f"linted {len(ds)} instructions: {len(rows)} dirty, {total} violations")
+    print(f"linted {len(dataset)} instructions: {len(rows)} dirty, {total} violations")
     return 0
 
 
 def cmd_assemble(args, cfg) -> int:
     from . import instructions as instr_mod
-    gen = instr_mod.read_dataset(args.gen)
-    tmpl = instr_mod.read_dataset(args.tmpl)
-    hybrid = instr_mod.assemble_hybrid(gen, tmpl)
     out = _out_path(args.out, cfg, "hybrid_instructions.jsonl")
-    instr_mod.write_dataset(hybrid, out)
-    counts = hybrid.counts_by_kind()
+    with (instr_mod.DatasetReader(args.gen) as gen, instr_mod.DatasetReader(args.tmpl) as tmpl,
+          instr_mod.DatasetWriter(out) as writer):
+        for it, line in instr_mod.union(gen, tmpl):
+            writer.write(it.instruction_id, it.kind, line)
+        writer.sources = [gen.digest, tmpl.digest]
     print(
-        f"assembled {len(hybrid)} instructions "
-        f"({counts['generation']} generation + {counts['template']} template) -> {out}"
+        f"assembled {len(writer)} instructions "
+        f"({writer.counts['generation']} generation + {writer.counts['template']} template) -> {out}"
     )
     return 0
 
 
 def cmd_split_subsets(args, cfg) -> int:
     from . import instructions as instr_mod
-    ds = instr_mod.read_dataset(args.dataset)
-    subsets = instr_mod.split_subsets(ds, args.k, cfg.seed)
     out_dir = _out_path(args.out_dir, cfg, "subsets")
-    for i, subset in enumerate(subsets, start=1):
-        instr_mod.write_dataset(subset, out_dir / f"subset_{i}.jsonl")
+    with instr_mod.DatasetReader(args.dataset) as dataset:
+        rows = dataset.index()
+        subsets = instr_mod.subset_picks(len(rows), args.k, cfg.seed)
+        writers = [instr_mod.DatasetWriter(out_dir / f"subset_{i}.jsonl", seed=cfg.seed,
+                                           sources=[dataset.digest]) for i in range(1, args.k + 1)]
+        for writer, picks in zip(writers, subsets):  # each path was refused or passed above
+            with writer:
+                dataset.copy([rows[j] for j in picks], writer)
     sizes = ", ".join(str(len(s)) for s in subsets)
-    print(f"split {len(ds)} instructions into {args.k} subsets ({sizes}) -> {out_dir}")
+    print(f"split {len(rows)} instructions into {args.k} subsets ({sizes}) -> {out_dir}")
     return 0
 
 
 def cmd_sample_scale(args, cfg) -> int:
     from . import instructions as instr_mod
-    ds = instr_mod.read_dataset(args.dataset)
-    sampled = instr_mod.sample_scale(ds, args.size, cfg.seed)
     out = _out_path(args.out, cfg, "sampled_instructions.jsonl")
-    instr_mod.write_dataset(sampled, out)
-    print(f"sampled {len(sampled)} of {len(ds)} instructions -> {out}")
+    with instr_mod.DatasetReader(args.dataset) as dataset:
+        rows = dataset.index()
+        picked = instr_mod.sample_indices(len(rows), args.size, cfg.seed)
+        with instr_mod.DatasetWriter(out, seed=cfg.seed, sources=[dataset.digest]) as writer:
+            dataset.copy([rows[j] for j in picked], writer)
+    print(f"sampled {len(writer)} of {len(rows)} instructions -> {out}")
     return 0
 
 
@@ -188,8 +195,7 @@ def cmd_eval_vqa(args, cfg) -> int:
             or any(metrics.normalize(p) != [p] for p in polarity)):
         raise CloverError("--polarity must be two different comma-separated tokens, "
                           f"each lowercase alphanumeric, got '{args.polarity}'")
-    examples = metrics.read_examples(args.examples)
-    report = metrics.evaluate(examples, polarity)
+    report = metrics.evaluate(jsonio.read_records(args.examples, metrics.EvalExample), polarity)
     print(metrics.format_report(report))
     if args.report:
         jsonio.write_json(args.report, report)

@@ -1,25 +1,34 @@
 """Instruction records and dataset-level operations.
 
 Both instruction kinds share one canonical on-disk schema; `kind` is a field,
-not a file format. Datasets are immutable values and every operation here is
-pure, so hybrid assembly, subset splitting, and scale sampling compose freely.
-`DatasetWriter` writes every dataset file and its `sidecar_path` manifest, a row
-at a time, for `write_dataset` and gen-qa; `read_dataset` checks its counts and digest.
+not a file format. A dataset file is read and written a row at a time, so no
+step holds a dataset: `DatasetReader` checks each row as it reads it and the
+`sidecar_path` manifest at the end, and `DatasetWriter` writes each row at once
+and the manifest at a clean exit. Hybrid assembly streams both inputs through
+`union` into one writer. Subset splitting and scale sampling index their input
+in one pass and, in a second, copy each picked line by its byte offset.
+`InstructionDataset` is the in-memory value for library callers:
+`read_dataset`, `assemble_hybrid`, `split_subsets` and `sample_scale` build it
+from the same reader, `union` and picks.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import json
+import os
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as esc
 from pathlib import Path
-from typing import Literal, Sequence, get_args
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence, get_args
 
 from . import __version__
 from .errors import IntegrityError
-from .jsonio import atomic_open, encode_row, read_json, read_records, refuse_unwritable, write_json
+from .jsonio import (atomic_open, decode, encode_row, read_json, read_records, refuse_unwritable,
+                     write_json)
 from .prompts import QAPair
 from .sampling import sample_indices
 
@@ -126,35 +135,51 @@ def make_dataset(
     return InstructionDataset(tuple(items), seed, list(sources))
 
 
+def union(*parts: Iterable[Instruction]) -> Iterator[tuple[Instruction, str]]:
+    """Each item of `parts`, in order, with its line as `DatasetWriter` writes it;
+    an item equal to an earlier one is dropped, and an id that comes again with
+    differing content is an IntegrityError. Only a digest of each id's line is kept."""
+    kept: dict[str, bytes] = {}
+    for it in itertools.chain(*parts):
+        line = encode_row(it) + "\n"
+        digest = hashlib.sha256(line.encode("utf-8")).digest()
+        first = kept.setdefault(it.instruction_id, digest)
+        if first is digest:
+            yield it, line
+        elif first != digest:
+            raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
+
+
 def assemble_hybrid(
     gen: InstructionDataset, tmpl: InstructionDataset
 ) -> InstructionDataset:
     """Union with id-level dedup; an id carried by differing content is an error.
-
-    Equal items collapse to their first occurrence; `make_dataset` rejects any
-    id that is left twice, since two items with one id now differ in content.
-    """
+    Equal items collapse to their first occurrence, as in `union`."""
     sources = [dataset_digest(gen), dataset_digest(tmpl)]
-    return make_dataset(list(dict.fromkeys(gen.items + tmpl.items)), sources=sources)
+    return InstructionDataset(tuple(it for it, _ in union(gen.items, tmpl.items)), sources=sources)
 
 
-def split_subsets(
-    ds: InstructionDataset, k: int, seed: int
-) -> list[InstructionDataset]:
-    """Partition into k disjoint subsets with sizes differing by at most 1.
+def subset_picks(n: int, k: int, seed: int) -> list[list[int]]:
+    """The row indices of k disjoint subsets of n rows, sizes differing by at most 1.
 
-    Items are shuffled under the seed and dealt round-robin, so a remainder
-    spreads one extra item over the first subsets.
+    Rows are shuffled under the seed and dealt round-robin, so a remainder
+    spreads one extra row over the first subsets.
     """
-    n = len(ds.items)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n:
         raise ValueError(f"cannot split {n} items into {k} subsets")
     order = sample_indices(n, n, seed)
+    return [order[i::k] for i in range(k)]
+
+
+def split_subsets(
+    ds: InstructionDataset, k: int, seed: int
+) -> list[InstructionDataset]:
+    """Partition into k disjoint subsets, as `subset_picks` deals them."""
     source = dataset_digest(ds)
-    return [make_dataset([ds.items[j] for j in order[i::k]], seed=seed, sources=[source])
-            for i in range(k)]
+    return [make_dataset([ds.items[j] for j in picks], seed=seed, sources=[source])
+            for picks in subset_picks(len(ds.items), k, seed)]
 
 
 def sample_scale(ds: InstructionDataset, size: int, seed: int) -> InstructionDataset:
@@ -177,11 +202,12 @@ def sidecar_path(path: str | Path) -> Path:
 
 class DatasetWriter:
     """The one writer of a dataset file and its manifest sidecar, a row at a time,
-    holding only the ids and kind counts. Built, it refuses a `path` or sidecar that
+    holding only the ids and the kind `counts`. Built, it refuses a `path` or sidecar that
     no write could create. `<path>.tmp` opens at the first row, or at a clean exit if
-    none came, never on entry, since `atomic_open` makes `path`'s directory and truncates
+    none came, never on entry, since `atomic_open` makes `path`'s directory and replaces
     `<path>.tmp`, and gen-qa must first refuse a bad checkpoint or a --checkpoint that
-    is `<path>.tmp`. A clean exit renames it and writes the sidecar; an exception, neither."""
+    is `<path>.tmp`. A clean exit renames it and writes the sidecar, with the
+    `sources` that the writer holds then; an exception, neither."""
 
     def __init__(self, path: str | Path, *, seed: int | None = None, sources: Sequence[str] = ()):
         self.path, self.seed, self.sources = Path(path), seed, sources
@@ -189,7 +215,7 @@ class DatasetWriter:
         refuse_unwritable(self.path)
         refuse_unwritable(self.sidecar)
         self._ids: set[str] = set()
-        self._counts = dict.fromkeys(KINDS, 0)
+        self.counts = dict.fromkeys(KINDS, 0)
         self._files = ExitStack()
         self._out = None
 
@@ -197,13 +223,17 @@ class DatasetWriter:
         return len(self._ids)
 
     def append(self, it: Instruction) -> None:
-        if it.instruction_id in self._ids:
-            raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
+        self.write(it.instruction_id, it.kind, encode_row(it) + "\n")
+
+    def write(self, instruction_id: str, kind: Kind, line: str) -> None:
+        """Write one row as its encoded `line`, newline included."""
+        if instruction_id in self._ids:
+            raise IntegrityError(f"duplicate instruction id {instruction_id}")
         if self._out is None:
             self._out = self._files.enter_context(atomic_open(self.path))
-        self._out.write(encode_row(it) + "\n")
-        self._ids.add(it.instruction_id)
-        self._counts[it.kind] += 1
+        self._out.write(line)
+        self._ids.add(instruction_id)
+        self.counts[kind] += 1
 
     def __enter__(self) -> DatasetWriter:
         return self
@@ -214,30 +244,92 @@ class DatasetWriter:
         self._files.__exit__(*exc)
         if exc[0] is None:
             write_json(self.sidecar, {
-                "counts": self._counts, "digest": _ids_digest(self._ids),
+                "counts": self.counts, "digest": _ids_digest(self._ids),
                 "sources": self.sources, "seed": self.seed, "tool_version": __version__})
 
 
-def read_dataset(path: str | Path) -> InstructionDataset:
-    """A dataset file's items, each checked and its id checked unique as it is
-    read, with the seed and sources of its sidecar, whose counts and digest must agree."""
-    path = Path(path)
-    seen: set[str] = set()
+class Row(NamedTuple):
+    """Where a row read by `DatasetReader.index` sits in its file, and whether its
+    line is already the one `DatasetWriter` would write for it."""
+    instruction_id: str
+    kind: Kind
+    start: int
+    stop: int
+    canonical: bool
 
-    def content(it: Instruction) -> None:
+
+class DatasetReader:
+    """A dataset file, opened when the reader is built and closed when it exits,
+    read once, a row at a time: each row is checked as it is read, and then the
+    sidecar, if there is one. A bad row is a ManifestError, `line N: …`; a
+    sidecar whose `counts` or `digest` is missing or differs from the rows', an
+    IntegrityError. After the last row `len(reader)` counts the rows, `digest`
+    is their ids' digest, and `seed` and `sources` are the sidecar's."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.digest: str | None = None
+        self.seed: int | None = None
+        self.sources: list[str] = []
+        self._seen: set[str] = set()
+        self._counts = dict.fromkeys(KINDS, 0)
+        self._file = open(self.path, "rb")
+
+    def __enter__(self) -> DatasetReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def __len__(self) -> int:
+        return len(self._seen)
+
+    def __iter__(self) -> Iterator[Instruction]:
+        for it, _, _, _ in self._spans():
+            yield it
+
+    def index(self) -> list[Row]:
+        """The first of two passes: every row checked, and where it sits."""
+        return [Row(it.instruction_id, it.kind, start, stop, line == encode_row(it) + "\n")
+                for it, line, start, stop in self._spans()]
+
+    def copy(self, rows: Iterable[Row], writer: DatasetWriter) -> None:
+        """The second pass: each indexed row into `writer`, its line copied from the
+        file as read, or decoded and encoded again where it was not the writer's line."""
+        fd = self._file.fileno()
+        for row in rows:
+            line = os.pread(fd, row.stop - row.start, row.start).decode("utf-8")
+            if not row.canonical:
+                line = encode_row(decode(Instruction, json.loads(line))) + "\n"
+            writer.write(row.instruction_id, row.kind, line)
+
+    def _spans(self) -> Iterator[tuple[Instruction, str, int, int]]:
+        yield from read_records(self._file.fileno(), Instruction, self._check, spans=True)
+        self.digest = _ids_digest(self._seen)
+        if not (sidecar := sidecar_path(self.path)).exists():
+            return
+        manifest = read_json(sidecar)
+        for key, actual in (("counts", self._counts), ("digest", self.digest)):
+            if not manifest.get(key):
+                raise IntegrityError(f"{sidecar}: no {key}")
+            if manifest[key] != actual:
+                raise IntegrityError(f"{sidecar}: {key} {manifest[key]}, but the rows give {actual}")
+        self.seed, self.sources = manifest.get("seed"), manifest.get("sources", [])
+
+    def _check(self, it: Instruction) -> None:
         _check_content(it.image_id, it.kind, it.turns)
         expected = instruction_digest(it.image_id, it.kind, [t.question for t in it.turns])
         if it.instruction_id != expected:
             raise ValueError(f"instruction_id does not match its content (expected {expected})")
-        if expected in seen:
+        if expected in self._seen:
             raise ValueError(f"duplicate instruction id {expected}")
-        seen.add(it.instruction_id)  # the string the item keeps, not a second copy
+        self._seen.add(it.instruction_id)  # the string the item keeps, not a second copy
+        self._counts[it.kind] += 1
 
-    ds = InstructionDataset(tuple(read_records(path, Instruction, content)))
-    if not (sidecar := sidecar_path(path)).exists():
-        return ds
-    manifest = read_json(sidecar)
-    for key, actual in (("counts", ds.counts_by_kind()), ("digest", _ids_digest(seen))):
-        if manifest.get(key) and manifest[key] != actual:
-            raise IntegrityError(f"{sidecar}: {key} {manifest[key]}, but the rows give {actual}")
-    return InstructionDataset(ds.items, manifest.get("seed"), manifest.get("sources", []))
+
+def read_dataset(path: str | Path) -> InstructionDataset:
+    """A dataset file's items, as `DatasetReader` reads and checks them, with the
+    seed and sources of its sidecar."""
+    with DatasetReader(path) as reader:
+        items = tuple(reader)
+    return InstructionDataset(items, reader.seed, reader.sources)

@@ -6,10 +6,11 @@ object per line, blank lines skipped, each decoded by json's C scanner; CSV
 has a header line, and each field is trimmed. `read_records(path, RowType)` is
 the one row checker: the row type is a frozen dataclass whose annotations are
 the row's schema, compiled once per type into a builder, and every row is
-checked against it and built into an instance. The writers are its inverse: a
-dataclass row, slotted or not, is the object of its fields in declaration
-order, a `Decimal` its string, through one encoder per row type generated on
-first use, whose bytes are json's. Every output is UTF-8 with non-ASCII text
+checked against it and built into an instance; with `spans=True` each comes
+with its line and the line's byte span, so a reader can copy the line by
+offset. The writers are its inverse: a dataclass row, slotted or not, is the
+object of its fields in declaration order, a `Decimal` its string, through one
+encoder per row type generated on first use, whose bytes are json's. Every output is UTF-8 with non-ASCII text
 kept: a JSONL row is one compact line, streamed a row at a time; a JSON
 document is indented by two spaces and written a few hundred rows at a time.
 Each goes to a temp file beside its target, renamed over it, so a failed write
@@ -18,6 +19,7 @@ leaves the previous file untouched; the generation journals live in `generate`.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import functools
@@ -27,7 +29,7 @@ import math
 import os
 import types
 import typing
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from decimal import Decimal, DefaultContext, InvalidOperation
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -39,18 +41,21 @@ T = TypeVar("T")
 
 
 @contextmanager
-def _open_lines(path: str | Path, newline: str | None = None):
-    """Open UTF-8 text for line iteration, a leading BOM skipped.
+def _open_lines(path: str | Path | int, newline: str | None = None):
+    """Open UTF-8 text for line iteration, a leading BOM skipped. `path` may be
+    a file descriptor at the file's start, which is left open.
 
-    `newline` is `open`'s: CSV passes "" to keep the line ends inside quoted
-    fields. Decoding happens as lines are read; only when it fails is the file
-    read again, by bytes, to name the line that holds the bad byte.
+    `newline` is `open`'s: CSV and JSONL pass "" to keep each line's end as the
+    file holds it. Decoding happens as lines are read; only when it fails is the
+    file read again, by bytes, to name the line that holds the bad byte.
     """
-    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+    with open(path, "r", encoding="utf-8-sig", newline=newline,
+              closefd=not isinstance(path, int)) as fh:
         try:
             yield fh
         except UnicodeDecodeError:
-            for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            fh.buffer.seek(0)
+            for lineno, raw in enumerate(fh.buffer.read().splitlines(), start=1):
                 try:
                     raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
@@ -60,21 +65,32 @@ def _open_lines(path: str | Path, newline: str | None = None):
             raise
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, object) for every non-blank line of a JSONL file. A line
-    that starts with '{' is decoded by json's C scanner, and taken when only JSON
-    whitespace follows the object; `json.loads` decodes any other line, so every
-    error keeps its wording (a form feed after the object is "Extra data")."""
+def read_jsonl(path: str | Path | int) -> Iterator[tuple[int, dict]]:
+    """Yield (lineno, object) for every non-blank line of a JSONL file."""
+    for lineno, row, _, _, _ in _read_lines(path):
+        yield lineno, row
+
+
+def _read_lines(path: str | Path | int) -> Iterator[tuple[int, dict, str, int, int]]:
+    """Yield (lineno, object, line, start, stop) for every non-blank line of a
+    JSONL file: the line as the file holds it, its end included, and its UTF-8
+    byte span in the file, after any BOM. A line that starts with '{' is decoded
+    by json's C scanner, and taken when only JSON whitespace follows the object;
+    `json.loads` decodes any other line, so every error keeps its wording (a form
+    feed after the object is "Extra data")."""
     scan = json.decoder.JSONDecoder().scan_once
-    with _open_lines(path) as fh:
+    with _open_lines(path, newline="") as fh:
+        stop = len(codecs.BOM_UTF8) if fh.buffer.peek(3).startswith(codecs.BOM_UTF8) else 0
         for lineno, line in enumerate(fh, start=1):
+            start = stop
+            stop += len(line) if line.isascii() else len(line.encode("utf-8"))
             if line[:1] == "{":
                 try:
                     row, end = scan(line, 0)
                 except (StopIteration, ValueError, RecursionError):
                     end = 0
                 if end and not line[end:].strip(" \t\n\r"):
-                    yield lineno, row
+                    yield lineno, row, line, start, stop
                     continue
             elif not line.strip():
                 continue
@@ -88,7 +104,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise ManifestError(f"line {lineno}: invalid JSON (nested too deeply)") from exc
             if not isinstance(row, dict):
                 raise ManifestError(f"line {lineno}: expected a JSON object")
-            yield lineno, row
+            yield lineno, row, line, start, stop
 
 
 def read_json(path: str | Path) -> dict:
@@ -243,28 +259,29 @@ def decode(row_type: type[T], obj) -> T:
 
 
 def read_records(
-    path: str | Path, row_type: type[T], check: Callable[[T], None] | None = None,
-    fmt: str = "jsonl",
+    path: str | Path | int, row_type: type[T], check: Callable[[T], None] | None = None,
+    fmt: str = "jsonl", spans: bool = False,
 ) -> Iterator[T]:
     """Yield a `row_type` per row of a JSONL file, or with `fmt="csv"` of a CSV
     file whose header holds every key without a default. A row that the type
     rejects, or that raises ValueError in `__post_init__` or in `check`, where
     the rules about meaning sit, is a ManifestError: `line N: missing key 'k'`,
-    `line N: k must be …` or `line N: <the ValueError>`."""
+    `line N: k must be …` or `line N: <the ValueError>`. With `spans`, a JSONL
+    row comes as (record, line, start, stop), its line and that line's byte span."""
     build = _builder(row_type)
     if fmt == "jsonl":
-        rows = read_jsonl(path)
+        rows = _read_lines(path)
     else:
-        rows = _read_csv(path, [f.name for f in dataclasses.fields(row_type)
-                                if f.default is dataclasses.MISSING])
-    for lineno, row in rows:
+        rows = ((lineno, row, "", 0, 0) for lineno, row in _read_csv(
+            path, [f.name for f in dataclasses.fields(row_type) if f.default is dataclasses.MISSING]))
+    for lineno, row, line, start, stop in rows:
         try:
             record = build(row)
             if check is not None:
                 check(record)
         except ValueError as exc:
             raise ManifestError(f"line {lineno}: {exc}") from exc
-        yield record
+        yield (record, line, start, stop) if spans else record
 
 
 def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator[tuple[int, dict]]:
@@ -332,19 +349,26 @@ def atomic_open(path: str | Path):
     """Open `<path>.tmp` for UTF-8 text writing and rename it over `path` on success.
 
     A `path` that `refuse_unwritable` refuses is refused before anything is made;
-    on any failure inside the block the temp file is deleted and the old
-    `path`, if there was one, keeps its bytes.
+    on any failure inside the block the temp file and the directories made for
+    it are deleted, and the old `path`, if there was one, keeps its bytes. A
+    `<path>.tmp` left from before is unlinked, not truncated, so a reader that
+    holds it open keeps its bytes.
     """
     path = Path(path)
     refuse_unwritable(path)
+    made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = temp_path(path)
+    tmp.unlink(missing_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        for directory in made:  # the deepest first; one that holds a file is kept
+            with suppress(OSError):
+                directory.rmdir()
         raise
 
 

@@ -8,10 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from clover_forge import fewshot
+from clover_forge import fewshot, instructions, metrics
 from clover_forge.backends import MockBackend
 from clover_forge.cli import build_parser, main
-from clover_forge.instructions import Instruction, instruction_digest
+from clover_forge.instructions import (
+    Instruction,
+    Provenance,
+    assemble_hybrid,
+    instruction_digest,
+    make_dataset,
+    make_instruction,
+    read_dataset,
+    sample_scale,
+    split_subsets,
+    write_dataset,
+)
 from clover_forge.jsonio import read_jsonl
 from clover_forge.prompts import build_prompt, envelope_digest
 
@@ -1106,6 +1117,214 @@ def test_gen_qa_holds_no_committed_instructions(
                  "--fixtures", str(fixtures), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 40
     assert len(alive) == 3 and max(alive) - alive[0] <= 1, alive
+
+
+def _live(cls) -> int:
+    return sum(type(o) is cls for o in gc.get_objects())
+
+
+# Each dataset step: its argv, and how many rows it reads from {a} (40 rows) and {b} (40).
+STREAMED_STEPS = {
+    "lint": (["lint", "--instructions", "{a}", "--out", "{out}/lint.json"], 40),
+    "assemble": (["assemble", "--gen", "{a}", "--tmpl", "{b}", "--out", "{out}/h.jsonl"], 80),
+    "split-subsets": (["split-subsets", "--dataset", "{a}", "--k", "3", "--out-dir", "{out}"], 40),
+    "sample-scale": (["sample-scale", "--dataset", "{a}", "--size", "30",
+                      "--out", "{out}/s.jsonl"], 40),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STREAMED_STEPS))
+def test_dataset_steps_hold_no_instructions(tmp_path, pinned_config, monkeypatch, command):
+    argv, reads = STREAMED_STEPS[command]
+    paths = {"a": tmp_path / "a.jsonl", "b": tmp_path / "b.jsonl", "out": tmp_path / "out"}
+    for name, kind in (("a", "template"), ("b", "generation")):
+        paths[name].write_text("".join(json.dumps(_instruction(n, kind)) + "\n" for n in range(40)))
+    alive, calls, digest = [], [0], instructions.instruction_digest
+
+    def counted(*args):  # the reader's id check, once per row read
+        calls[0] += 1
+        if calls[0] in (1, reads):
+            alive.append(_live(Instruction))
+        return digest(*args)
+
+    monkeypatch.setattr(instructions, "instruction_digest", counted)
+    before = _live(Instruction)
+    assert main(["--config", pinned_config, *(a.format(**paths) for a in argv)]) == 0
+    assert calls[0] == reads and max(alive) - before <= 3, (before, alive)
+
+
+def test_eval_vqa_holds_no_examples(tmp_path, pinned_config, monkeypatch):
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text("".join(json.dumps({"example_id": f"e{n}", "reference": "glands",
+                                            "prediction": "glands", "qtype": "open"}) + "\n"
+                                for n in range(40)))
+    alive, calls, prf = [], [0], metrics.prf
+
+    def counted(*args):  # scores one open example
+        calls[0] += 1
+        if calls[0] in (1, 40):
+            alive.append(_live(metrics.EvalExample))
+        return prf(*args)
+
+    monkeypatch.setattr(metrics, "prf", counted)
+    before = _live(metrics.EvalExample)
+    assert main(["--config", pinned_config, "eval-vqa", "--examples", str(examples)]) == 0
+    assert calls[0] == 40 and max(alive) - before <= 3, (before, alive)
+
+
+def _rows_and_lines(tmp_path) -> tuple[Path, list[str]]:
+    """A dataset of both kinds, written by `write_dataset`, and its lines."""
+    items = [make_instruction(f"img{n}", "generation",
+                              [(f"Question {n} \u00e9?", 'An "answer" \U0001f600'), ("More?", "Yes.")],
+                              Provenance("chat-completion", "m", "h", "t")) for n in range(6)]
+    items += [make_instruction(f"img{n}", "template", [(f"Describe {n}.", CAPTION)],
+                               Provenance("template-bank")) for n in range(6)]
+    path = tmp_path / "canonical.jsonl"
+    write_dataset(make_dataset(items, seed=4, sources=["parent"]), path)
+    return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def _reordered(line: str) -> str:
+    return json.dumps(dict(reversed(json.loads(line).items())), ensure_ascii=False,
+                      separators=(",", ":")) + "\n"
+
+
+# Ways to write a dataset file that the reader takes and the writer would not
+# write: each maps the canonical lines to the file's bytes, and mixes them with
+# canonical lines, so later lines sit at shifted offsets.
+NON_CANONICAL = {
+    "crlf": lambda lines: "".join(l[:-1] + "\r\n" if i % 2 else l for i, l in enumerate(lines)),
+    "bom": lambda lines: "\ufeff" + "".join(lines),
+    "spaced": lambda lines: "".join(json.dumps(json.loads(l), ensure_ascii=False) + "\n"
+                                    if i % 3 == 1 else l for i, l in enumerate(lines)),
+    "reordered-keys": lambda lines: "".join(_reordered(l) if i % 2 == 0 else l
+                                            for i, l in enumerate(lines)),
+    "escaped": lambda lines: "".join(json.dumps(json.loads(l), separators=(",", ":")) + "\n"
+                                     for l in lines),
+    "blank-lines": lambda lines: "\n" + "\n  \n".join(lines) + "\n",
+    "no-final-newline": lambda lines: "".join(lines)[:-1],
+}
+
+
+def _same_files(got: Path, want: Path) -> None:
+    names = sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in got.iterdir()) == names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("variant", sorted(NON_CANONICAL))
+def test_split_and_sample_of_a_non_canonical_file_write_the_library_bytes(
+    tmp_path, pinned_config, variant
+):
+    canonical, lines = _rows_and_lines(tmp_path)
+    dataset = tmp_path / "in" / "d.jsonl"
+    dataset.parent.mkdir()
+    dataset.write_bytes(NON_CANONICAL[variant](lines).encode("utf-8"))
+    Path(f"{dataset}.manifest.json").write_bytes(Path(f"{canonical}.manifest.json").read_bytes())
+    ds = read_dataset(dataset)
+    for i, subset in enumerate(split_subsets(ds, 3, seed=0), start=1):
+        write_dataset(subset, tmp_path / "want_split" / f"subset_{i}.jsonl")
+    write_dataset(sample_scale(ds, 7, seed=0), tmp_path / "want_sample" / "s.jsonl")
+    assert main(["--config", pinned_config, "split-subsets", "--dataset", str(dataset),
+                 "--k", "3", "--out-dir", str(tmp_path / "split")]) == 0
+    assert main(["--config", pinned_config, "sample-scale", "--dataset", str(dataset),
+                 "--size", "7", "--out", str(tmp_path / "sample" / "s.jsonl")]) == 0
+    _same_files(tmp_path / "split", tmp_path / "want_split")
+    _same_files(tmp_path / "sample", tmp_path / "want_sample")
+
+
+# A step whose output replaces its own input: argv, the input's name, and the
+# library operation over the datasets it reads that gives the expected files.
+IN_PLACE = {
+    "sample-scale-out-is-dataset": (
+        ["sample-scale", "--dataset", "{dir}/d.jsonl", "--size", "5", "--out", "{dir}/d.jsonl"],
+        "d.jsonl", lambda ds, other: {"d.jsonl": sample_scale(ds, 5, seed=0)}),
+    "sample-scale-dataset-is-out-tmp": (
+        ["sample-scale", "--dataset", "{dir}/s.jsonl.tmp", "--size", "5", "--out", "{dir}/s.jsonl"],
+        "s.jsonl.tmp", lambda ds, other: {"s.jsonl": sample_scale(ds, 5, seed=0)}),
+    "assemble-out-is-gen": (
+        ["assemble", "--gen", "{dir}/g.jsonl", "--tmpl", "{other}", "--out", "{dir}/g.jsonl"],
+        "g.jsonl", lambda ds, other: {"g.jsonl": assemble_hybrid(ds, other)}),
+    "split-subsets-into-the-input-directory": (
+        ["split-subsets", "--dataset", "{dir}/subset_1.jsonl", "--k", "3", "--out-dir", "{dir}"],
+        "subset_1.jsonl", lambda ds, other: {f"subset_{i}.jsonl": s for i, s in
+                                             enumerate(split_subsets(ds, 3, seed=0), start=1)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IN_PLACE))
+def test_a_step_that_replaces_its_input_writes_the_library_bytes(tmp_path, pinned_config, case):
+    argv, name, operation = IN_PLACE[case]
+    canonical, lines = _rows_and_lines(tmp_path)
+    other = tmp_path / "other.jsonl"
+    other.write_text("".join(json.dumps(_instruction(n)) + "\n" for n in range(20, 25)))
+    work, want = tmp_path / "work", tmp_path / "want"
+    work.mkdir()
+    (work / name).write_text(NON_CANONICAL["crlf"](lines), encoding="utf-8")
+    for path, ds in operation(read_dataset(work / name), read_dataset(other)).items():
+        write_dataset(ds, want / path)
+    assert main(["--config", pinned_config,
+                 *(a.format(dir=work, other=other) for a in argv)]) == 0
+    _same_files(work, want)  # an input that is the output's temp file is replaced, as before
+
+
+def test_split_subsets_refuses_a_later_subset_before_writing_the_first(
+    tmp_path, pinned_config, capsys
+):
+    dataset, out_dir = tmp_path / "d.jsonl", tmp_path / "subsets"
+    dataset.write_text("".join(json.dumps(_instruction(n)) + "\n" for n in range(6)))
+    (out_dir / "subset_2.jsonl").mkdir(parents=True)
+    code = main(["--config", pinned_config, "split-subsets", "--dataset", str(dataset),
+                 "--k", "3", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out_dir / 'subset_2.jsonl'}: it is a directory\n")
+    assert [p.name for p in out_dir.iterdir()] == ["subset_2.jsonl"]
+
+
+def test_assemble_reports_a_conflict_before_a_later_bad_row_of_tmpl(
+    tmp_path, pinned_config, capsys
+):
+    gen, tmpl = tmp_path / "gen.jsonl", tmp_path / "tmpl.jsonl"
+    gen.write_text(json.dumps(_instruction(1)) + "\n")
+    conflict = _instruction(1, pairs=(("Describe the image.", "Another answer."),))
+    bad = {**_instruction(2), "kind": "bogus"}
+    tmpl.write_text("".join(json.dumps(row) + "\n" for row in (conflict, bad)))
+    code = main(["--config", pinned_config, "assemble", "--gen", str(gen), "--tmpl", str(tmpl),
+                 "--out", str(tmp_path / "out" / "h.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: duplicate instruction id {conflict['instruction_id']}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "gen.jsonl", "tmpl.jsonl"]
+
+
+@pytest.mark.parametrize("removal", ["deleted", "null"])
+@pytest.mark.parametrize("key", ["counts", "digest"])
+def test_lint_refuses_a_sidecar_without_counts_or_digest(
+    tmp_path, pinned_config, capsys, key, removal
+):
+    # Rows of the seed-2 sample beside the sidecar of the seed-1 sample, whose check is gone.
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text("".join(json.dumps(_instruction(n)) + "\n" for n in range(12)))
+    samples = {seed: tmp_path / f"s{seed}.jsonl" for seed in (1, 2)}
+    for seed, out in samples.items():
+        assert main(["--config", pinned_config, "--seed", str(seed), "sample-scale",
+                     "--dataset", str(dataset), "--size", "4", "--out", str(out)]) == 0
+    samples[1].write_bytes(samples[2].read_bytes())
+    sidecar = Path(f"{samples[1]}.manifest.json")
+    manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+    if removal == "deleted":
+        del manifest[key]
+    else:
+        manifest[key] = None
+    sidecar.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["--config", pinned_config, "lint", "--instructions", str(samples[1]),
+                 "--out", str(tmp_path / "lint.json")])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {sidecar}: no {key}\n")
+    assert not (tmp_path / "lint.json").exists()
 
 
 # Every subcommand that writes an atomic output: its argv and the first file it

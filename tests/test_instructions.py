@@ -210,6 +210,22 @@ class TestSerialization:
             read_dataset(path)
         assert str(caught.value) == f"{sidecar}: digest {stale}, but the rows give {actual}"
 
+    @pytest.mark.parametrize("removal", ["deleted", "null", "empty"])
+    @pytest.mark.parametrize("key", ["counts", "digest"])
+    def test_sidecar_without_counts_or_digest_is_refused(self, tmp_path, key, removal):
+        path = tmp_path / "ds.jsonl"
+        write_dataset(dataset(3), path)
+        sidecar = tmp_path / "ds.jsonl.manifest.json"
+        manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+        if removal == "deleted":
+            del manifest[key]
+        else:
+            manifest[key] = None if removal == "null" else type(manifest[key])()
+        sidecar.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(IntegrityError) as caught:
+            read_dataset(path)
+        assert str(caught.value) == f"{sidecar}: no {key}"
+
     def test_sidecar_after_a_byte_order_mark_is_read(self, tmp_path):
         ds = make_dataset(dataset(3).items, seed=5, sources=["parent"])
         path = tmp_path / "ds.jsonl"

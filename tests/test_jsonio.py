@@ -516,3 +516,27 @@ def test_read_jsonl_agrees_with_json_loads_on_any_line(line):
         return
     with tempfile.TemporaryDirectory() as tmp:
         assert _read_second_line(Path(tmp) / "rows.jsonl", line) == _loads_verdict(line)
+
+
+@dataclasses.dataclass(frozen=True)
+class _AnyRow:
+    """A row type without fields: every JSON object is one."""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.lists(st.tuples(
+    st.dictionaries(st.text(max_size=3), st.text(max_size=4), max_size=2),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.sampled_from(["", "\n", " \r\n"]),
+), max_size=5))
+def test_read_records_spans_are_the_bytes_of_each_line(bom, rows):
+    text = "\ufeff" * bom + "".join(
+        blank + json.dumps(obj, ensure_ascii=False) + end for obj, end, blank in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        data = path.read_bytes()
+        spans = list(read_records(path, _AnyRow, spans=True))
+    assert len(spans) == len(rows)
+    for (_, line, start, stop), (obj, _, _) in zip(spans, rows):
+        assert data[start:stop].decode("utf-8") == line and json.loads(line) == obj
