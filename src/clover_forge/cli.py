@@ -148,14 +148,10 @@ def cmd_lint(args, cfg) -> int:
 def cmd_assemble(args, cfg) -> int:
     from . import instructions as instr_mod
     out = _out_path(args.out, cfg, "hybrid_instructions.jsonl")
-    with (instr_mod.DatasetReader(args.gen) as gen, instr_mod.DatasetReader(args.tmpl) as tmpl,
-          instr_mod.DatasetWriter(out) as writer):
-        for it, line in instr_mod.union(gen, tmpl):
-            writer.write(it.instruction_id, it.kind, line)
-        writer.sources = [gen.digest, tmpl.digest]
+    counts = instr_mod.assemble_hybrid(args.gen, args.tmpl, out)
     print(
-        f"assembled {len(writer)} instructions "
-        f"({writer.counts['generation']} generation + {writer.counts['template']} template) -> {out}"
+        f"assembled {sum(counts.values())} instructions "
+        f"({counts['generation']} generation + {counts['template']} template) -> {out}"
     )
     return 0
 
@@ -163,28 +159,17 @@ def cmd_assemble(args, cfg) -> int:
 def cmd_split_subsets(args, cfg) -> int:
     from . import instructions as instr_mod
     out_dir = _out_path(args.out_dir, cfg, "subsets")
-    with instr_mod.DatasetReader(args.dataset) as dataset:
-        rows = dataset.index()
-        subsets = instr_mod.subset_picks(len(rows), args.k, cfg.seed)
-        writers = [instr_mod.DatasetWriter(out_dir / f"subset_{i}.jsonl", seed=cfg.seed,
-                                           sources=[dataset.digest]) for i in range(1, args.k + 1)]
-        for writer, picks in zip(writers, subsets):  # each path was refused or passed above
-            with writer:
-                dataset.copy([rows[j] for j in picks], writer)
-    sizes = ", ".join(str(len(s)) for s in subsets)
-    print(f"split {len(rows)} instructions into {args.k} subsets ({sizes}) -> {out_dir}")
+    sizes = instr_mod.split_subsets(args.dataset, args.k, cfg.seed, out_dir)
+    print(f"split {sum(sizes)} instructions into {args.k} subsets "
+          f"({', '.join(map(str, sizes))}) -> {out_dir}")
     return 0
 
 
 def cmd_sample_scale(args, cfg) -> int:
     from . import instructions as instr_mod
     out = _out_path(args.out, cfg, "sampled_instructions.jsonl")
-    with instr_mod.DatasetReader(args.dataset) as dataset:
-        rows = dataset.index()
-        picked = instr_mod.sample_indices(len(rows), args.size, cfg.seed)
-        with instr_mod.DatasetWriter(out, seed=cfg.seed, sources=[dataset.digest]) as writer:
-            dataset.copy([rows[j] for j in picked], writer)
-    print(f"sampled {len(writer)} of {len(rows)} instructions -> {out}")
+    total = instr_mod.sample_scale(args.dataset, args.size, cfg.seed, out)
+    print(f"sampled {args.size} of {total} instructions -> {out}")
     return 0
 
 

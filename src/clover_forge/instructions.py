@@ -4,12 +4,12 @@ Both instruction kinds share one canonical on-disk schema; `kind` is a field,
 not a file format. A dataset file is read and written a row at a time, so no
 step holds a dataset: `DatasetReader` checks each row as it reads it and the
 `sidecar_path` manifest at the end, and `DatasetWriter` writes each row at once
-and the manifest at a clean exit. Hybrid assembly streams both inputs through
-`union` into one writer. Subset splitting and scale sampling index their input
-in one pass and, in a second, copy each picked line by its byte offset.
-`InstructionDataset` is the in-memory value for library callers:
-`read_dataset`, `assemble_hybrid`, `split_subsets` and `sample_scale` build it
-from the same reader, `union` and picks.
+and the manifest at a clean exit. The dataset steps take and give paths, and are
+the ones the CLI runs: `assemble_hybrid` streams both inputs into one writer,
+and `split_subsets` and `sample_scale` index their input in one pass and, in a
+second, copy each picked line by its byte offset. `InstructionDataset` is the
+in-memory value for library callers, which `read_dataset` reads and
+`write_dataset` writes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import os
+import stat
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence, get_args
 
 from . import __version__
-from .errors import IntegrityError
+from .errors import CloverError, IntegrityError
 from .jsonio import (atomic_open, decode, encode_row, read_json, read_records, refuse_unwritable,
                      write_json)
 from .prompts import QAPair
@@ -114,11 +115,6 @@ class InstructionDataset:
         return counts
 
 
-def dataset_digest(ds: InstructionDataset) -> str:
-    """Order-insensitive digest over the member instruction ids."""
-    return _ids_digest(it.instruction_id for it in ds.items)
-
-
 def _ids_digest(ids) -> str:
     return hashlib.sha256("".join(sorted(ids)).encode("ascii")).hexdigest()
 
@@ -133,59 +129,6 @@ def make_dataset(
             raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
         seen.add(it.instruction_id)
     return InstructionDataset(tuple(items), seed, list(sources))
-
-
-def union(*parts: Iterable[Instruction]) -> Iterator[tuple[Instruction, str]]:
-    """Each item of `parts`, in order, with its line as `DatasetWriter` writes it;
-    an item equal to an earlier one is dropped, and an id that comes again with
-    differing content is an IntegrityError. Only a digest of each id's line is kept."""
-    kept: dict[str, bytes] = {}
-    for it in itertools.chain(*parts):
-        line = encode_row(it) + "\n"
-        digest = hashlib.sha256(line.encode("utf-8")).digest()
-        first = kept.setdefault(it.instruction_id, digest)
-        if first is digest:
-            yield it, line
-        elif first != digest:
-            raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
-
-
-def assemble_hybrid(
-    gen: InstructionDataset, tmpl: InstructionDataset
-) -> InstructionDataset:
-    """Union with id-level dedup; an id carried by differing content is an error.
-    Equal items collapse to their first occurrence, as in `union`."""
-    sources = [dataset_digest(gen), dataset_digest(tmpl)]
-    return InstructionDataset(tuple(it for it, _ in union(gen.items, tmpl.items)), sources=sources)
-
-
-def subset_picks(n: int, k: int, seed: int) -> list[list[int]]:
-    """The row indices of k disjoint subsets of n rows, sizes differing by at most 1.
-
-    Rows are shuffled under the seed and dealt round-robin, so a remainder
-    spreads one extra row over the first subsets.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise ValueError(f"cannot split {n} items into {k} subsets")
-    order = sample_indices(n, n, seed)
-    return [order[i::k] for i in range(k)]
-
-
-def split_subsets(
-    ds: InstructionDataset, k: int, seed: int
-) -> list[InstructionDataset]:
-    """Partition into k disjoint subsets, as `subset_picks` deals them."""
-    source = dataset_digest(ds)
-    return [make_dataset([ds.items[j] for j in picks], seed=seed, sources=[source])
-            for picks in subset_picks(len(ds.items), k, seed)]
-
-
-def sample_scale(ds: InstructionDataset, size: int, seed: int) -> InstructionDataset:
-    """Uniform without-replacement sample of `size` items."""
-    picked = sample_indices(len(ds.items), size, seed)
-    return make_dataset([ds.items[i] for i in picked], seed=seed, sources=[dataset_digest(ds)])
 
 
 def write_dataset(ds: InstructionDataset, path: str | Path) -> None:
@@ -207,11 +150,13 @@ class DatasetWriter:
     none came, never on entry, since `atomic_open` makes `path`'s directory and replaces
     `<path>.tmp`, and gen-qa must first refuse a bad checkpoint or a --checkpoint that
     is `<path>.tmp`. A clean exit renames it and writes the sidecar, with the
-    `sources` that the writer holds then; an exception, neither."""
+    `sources` that the writer holds then; an exception, neither. A `seed` or
+    `sources` that a read of the sidecar would refuse is refused when built."""
 
     def __init__(self, path: str | Path, *, seed: int | None = None, sources: Sequence[str] = ()):
         self.path, self.seed, self.sources = Path(path), seed, sources
         self.sidecar = sidecar_path(self.path)
+        _lineage(self.sidecar, {"seed": seed, "sources": list(sources)})  # what a read refuses
         refuse_unwritable(self.path)
         refuse_unwritable(self.sidecar)
         self._ids: set[str] = set()
@@ -248,6 +193,22 @@ class DatasetWriter:
                 "sources": self.sources, "seed": self.seed, "tool_version": __version__})
 
 
+@dataclass(frozen=True, slots=True)
+class Lineage:
+    """The sidecar fields that a read carries over, as `read_records` checks a row:
+    the seed of the step that wrote the dataset, and the id digests of its inputs."""
+    seed: int | None = None
+    sources: tuple[str, ...] = ()
+
+
+def _lineage(sidecar: Path, manifest: dict) -> Lineage:
+    """A sidecar's `Lineage`, or an IntegrityError that names the sidecar and the field."""
+    try:
+        return decode(Lineage, manifest)
+    except ValueError as exc:
+        raise IntegrityError(f"{sidecar}: {exc}") from None
+
+
 class Row(NamedTuple):
     """Where a row read by `DatasetReader.index` sits in its file, and whether its
     line is already the one `DatasetWriter` would write for it."""
@@ -262,9 +223,10 @@ class DatasetReader:
     """A dataset file, opened when the reader is built and closed when it exits,
     read once, a row at a time: each row is checked as it is read, and then the
     sidecar, if there is one. A bad row is a ManifestError, `line N: …`; a
-    sidecar whose `counts` or `digest` is missing or differs from the rows', an
-    IntegrityError. After the last row `len(reader)` counts the rows, `digest`
-    is their ids' digest, and `seed` and `sources` are the sidecar's."""
+    sidecar whose `counts` or `digest` is missing or differs from the rows', or
+    whose `seed` or `sources` is not a `Lineage`'s, an IntegrityError. After the
+    last row `len(reader)` counts the rows, `digest` is their ids' digest, and
+    `seed` and `sources` are the sidecar's."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -314,7 +276,8 @@ class DatasetReader:
                 raise IntegrityError(f"{sidecar}: no {key}")
             if manifest[key] != actual:
                 raise IntegrityError(f"{sidecar}: {key} {manifest[key]}, but the rows give {actual}")
-        self.seed, self.sources = manifest.get("seed"), manifest.get("sources", [])
+        lineage = _lineage(sidecar, manifest)
+        self.seed, self.sources = lineage.seed, list(lineage.sources)
 
     def _check(self, it: Instruction) -> None:
         _check_content(it.image_id, it.kind, it.turns)
@@ -333,3 +296,64 @@ def read_dataset(path: str | Path) -> InstructionDataset:
     with DatasetReader(path) as reader:
         items = tuple(reader)
     return InstructionDataset(items, reader.seed, reader.sources)
+
+
+def assemble_hybrid(gen: str | Path, tmpl: str | Path, out: str | Path) -> dict[str, int]:
+    """The hybrid set: the rows of `gen`, then of `tmpl`, into one dataset at `out`,
+    and the kind counts written. A row equal to an earlier one is dropped, and an id
+    that comes again with differing content is an IntegrityError; only a digest of
+    each id's line is kept. The sidecar's `sources` are the inputs' id digests."""
+    with DatasetReader(gen) as g, DatasetReader(tmpl) as t, DatasetWriter(out) as writer:
+        kept: dict[str, bytes] = {}
+        for it in itertools.chain(g, t):
+            line = encode_row(it) + "\n"
+            digest = hashlib.sha256(line.encode("utf-8")).digest()
+            first = kept.setdefault(it.instruction_id, digest)
+            if first is digest:
+                writer.write(it.instruction_id, it.kind, line)
+            elif first != digest:
+                raise IntegrityError(f"duplicate instruction id {it.instruction_id}")
+        writer.sources = [g.digest, t.digest]
+    return writer.counts
+
+
+def split_subsets(dataset: str | Path, k: int, seed: int, out_dir: str | Path) -> list[int]:
+    """Partition `dataset` into k disjoint subsets, `<out_dir>/subset_<i>.jsonl`, and
+    their sizes, which differ by at most 1: the rows are shuffled under the seed and
+    dealt round-robin, so a remainder spreads one extra row over the first subsets.
+    All k writers are built before the first is written."""
+    with _reread(dataset) as reader:
+        rows = reader.index()
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if k > len(rows):
+            raise ValueError(f"cannot split {len(rows)} items into {k} subsets")
+        order = sample_indices(len(rows), len(rows), seed)
+        writers = [DatasetWriter(Path(out_dir) / f"subset_{i}.jsonl", seed=seed,
+                                 sources=[reader.digest]) for i in range(1, k + 1)]
+        for i, writer in enumerate(writers):
+            with writer:
+                reader.copy([rows[j] for j in order[i::k]], writer)
+    return [len(writer) for writer in writers]
+
+
+def sample_scale(dataset: str | Path, size: int, seed: int, out: str | Path) -> int:
+    """A uniform without-replacement sample of `size` rows of `dataset` into `out`,
+    and the number of rows it was drawn from."""
+    with _reread(dataset) as reader:
+        rows = reader.index()
+        picked = sample_indices(len(rows), size, seed)
+        with DatasetWriter(out, seed=seed, sources=[reader.digest]) as writer:
+            reader.copy([rows[j] for j in picked], writer)
+    return len(rows)
+
+
+def _reread(path: str | Path) -> DatasetReader:
+    """A reader for `index`, then `copy`. A file that cannot be read twice, a pipe
+    say, is refused by its `stat`, so no open waits on a pipe without a writer;
+    a directory is left to `open`'s own error."""
+    mode = os.stat(path).st_mode
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        raise CloverError(f"cannot read {path}: not a regular file, and subset splitting "
+                          "and scale sampling read their input twice")
+    return DatasetReader(path)

@@ -24,7 +24,9 @@ from clover_forge.instructions import (
     assemble_hybrid,
     make_dataset,
     make_instruction,
+    read_dataset,
     split_subsets,
+    write_dataset,
 )
 from clover_forge.losses import run_kernel_check
 from clover_forge.metrics import EvalExample, cost_ratio, evaluate, prf
@@ -159,7 +161,7 @@ def test_criterion_4_clinical_counts(clinical_manifest):
     }
 
 
-def _synthetic_dataset(kind, n, offset=0):
+def _synthetic_dataset(kind, n, path, offset=0):
     items = [
         make_instruction(
             f"{kind}-img{i + offset:06d}",
@@ -169,22 +171,28 @@ def _synthetic_dataset(kind, n, offset=0):
         )
         for i in range(n)
     ]
-    return make_dataset(items)
+    write_dataset(make_dataset(items), path)
+    return items
 
 
 @criterion(5, "dataset mechanics (3x5000 partition, 15K+30K=45K assembly)")
-def test_criterion_5_dataset_mechanics():
-    generation = _synthetic_dataset("generation", 15_000)
-    subsets = split_subsets(generation, 3, seed=11)
-    assert [len(s) for s in subsets] == [5_000, 5_000, 5_000]
+def test_criterion_5_dataset_mechanics(tmp_path):
+    generation = _synthetic_dataset("generation", 15_000, tmp_path / "generation.jsonl")
+    sizes = split_subsets(tmp_path / "generation.jsonl", 3, 11, tmp_path / "subsets")
+    subsets = [read_dataset(tmp_path / "subsets" / f"subset_{i}.jsonl") for i in (1, 2, 3)]
+    assert sizes == [len(s) for s in subsets] == [5_000, 5_000, 5_000]
     seen = [iid for s in subsets for iid in s.ids()]
     assert len(seen) == len(set(seen)) == 15_000
-    assert set(seen) == set(generation.ids())
+    assert set(seen) == {it.instruction_id for it in generation}
 
-    template = _synthetic_dataset("template", 30_000, offset=100_000)
-    hybrid = assemble_hybrid(generation, template)
-    assert len(hybrid) == 45_000
-    assert hybrid.counts_by_kind() == {"generation": 15_000, "template": 30_000}
+    _synthetic_dataset("template", 30_000, tmp_path / "template.jsonl", offset=100_000)
+    counts = assemble_hybrid(tmp_path / "generation.jsonl", tmp_path / "template.jsonl",
+                             tmp_path / "hybrid.jsonl")
+    lines = (tmp_path / "hybrid.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert len(rows) == 45_000
+    assert Counter(row["kind"] for row in rows) == counts == {"generation": 15_000,
+                                                              "template": 30_000}
 
 
 @criterion(6, "loss-kernel property suite")

@@ -1,8 +1,10 @@
 import dataclasses
 import gc
 import json
+import os
 import re
 import shlex
+import threading
 from decimal import Decimal
 from pathlib import Path
 
@@ -14,13 +16,9 @@ from clover_forge.cli import build_parser, main
 from clover_forge.instructions import (
     Instruction,
     Provenance,
-    assemble_hybrid,
     instruction_digest,
     make_dataset,
     make_instruction,
-    read_dataset,
-    sample_scale,
-    split_subsets,
     write_dataset,
 )
 from clover_forge.jsonio import read_jsonl
@@ -1217,56 +1215,101 @@ def _same_files(got: Path, want: Path) -> None:
 def test_split_and_sample_of_a_non_canonical_file_write_the_library_bytes(
     tmp_path, pinned_config, variant
 ):
+    # The bytes that each step writes from the canonical file of the same rows.
     canonical, lines = _rows_and_lines(tmp_path)
     dataset = tmp_path / "in" / "d.jsonl"
     dataset.parent.mkdir()
     dataset.write_bytes(NON_CANONICAL[variant](lines).encode("utf-8"))
     Path(f"{dataset}.manifest.json").write_bytes(Path(f"{canonical}.manifest.json").read_bytes())
-    ds = read_dataset(dataset)
-    for i, subset in enumerate(split_subsets(ds, 3, seed=0), start=1):
-        write_dataset(subset, tmp_path / "want_split" / f"subset_{i}.jsonl")
-    write_dataset(sample_scale(ds, 7, seed=0), tmp_path / "want_sample" / "s.jsonl")
-    assert main(["--config", pinned_config, "split-subsets", "--dataset", str(dataset),
-                 "--k", "3", "--out-dir", str(tmp_path / "split")]) == 0
-    assert main(["--config", pinned_config, "sample-scale", "--dataset", str(dataset),
-                 "--size", "7", "--out", str(tmp_path / "sample" / "s.jsonl")]) == 0
-    _same_files(tmp_path / "split", tmp_path / "want_split")
-    _same_files(tmp_path / "sample", tmp_path / "want_sample")
+    for source, out in ((canonical, tmp_path / "want"), (dataset, tmp_path / "got")):
+        assert main(["--config", pinned_config, "split-subsets", "--dataset", str(source),
+                     "--k", "3", "--out-dir", str(out / "split")]) == 0
+        assert main(["--config", pinned_config, "sample-scale", "--dataset", str(source),
+                     "--size", "7", "--out", str(out / "sample" / "s.jsonl")]) == 0
+    _same_files(tmp_path / "got" / "split", tmp_path / "want" / "split")
+    _same_files(tmp_path / "got" / "sample", tmp_path / "want" / "sample")
 
 
-# A step whose output replaces its own input: argv, the input's name, and the
-# library operation over the datasets it reads that gives the expected files.
+# A step whose output replaces its own input: argv, with {in} the input's directory
+# and {out} the output's, and the input's name.
 IN_PLACE = {
     "sample-scale-out-is-dataset": (
-        ["sample-scale", "--dataset", "{dir}/d.jsonl", "--size", "5", "--out", "{dir}/d.jsonl"],
-        "d.jsonl", lambda ds, other: {"d.jsonl": sample_scale(ds, 5, seed=0)}),
+        ["sample-scale", "--dataset", "{in}/d.jsonl", "--size", "5", "--out", "{out}/d.jsonl"],
+        "d.jsonl"),
     "sample-scale-dataset-is-out-tmp": (
-        ["sample-scale", "--dataset", "{dir}/s.jsonl.tmp", "--size", "5", "--out", "{dir}/s.jsonl"],
-        "s.jsonl.tmp", lambda ds, other: {"s.jsonl": sample_scale(ds, 5, seed=0)}),
+        ["sample-scale", "--dataset", "{in}/s.jsonl.tmp", "--size", "5", "--out", "{out}/s.jsonl"],
+        "s.jsonl.tmp"),
     "assemble-out-is-gen": (
-        ["assemble", "--gen", "{dir}/g.jsonl", "--tmpl", "{other}", "--out", "{dir}/g.jsonl"],
-        "g.jsonl", lambda ds, other: {"g.jsonl": assemble_hybrid(ds, other)}),
+        ["assemble", "--gen", "{in}/g.jsonl", "--tmpl", "{other}", "--out", "{out}/g.jsonl"],
+        "g.jsonl"),
     "split-subsets-into-the-input-directory": (
-        ["split-subsets", "--dataset", "{dir}/subset_1.jsonl", "--k", "3", "--out-dir", "{dir}"],
-        "subset_1.jsonl", lambda ds, other: {f"subset_{i}.jsonl": s for i, s in
-                                             enumerate(split_subsets(ds, 3, seed=0), start=1)}),
+        ["split-subsets", "--dataset", "{in}/subset_1.jsonl", "--k", "3", "--out-dir", "{out}"],
+        "subset_1.jsonl"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(IN_PLACE))
 def test_a_step_that_replaces_its_input_writes_the_library_bytes(tmp_path, pinned_config, case):
-    argv, name, operation = IN_PLACE[case]
+    # The bytes that the same step writes from the same input to another directory.
+    argv, name = IN_PLACE[case]
     canonical, lines = _rows_and_lines(tmp_path)
     other = tmp_path / "other.jsonl"
     other.write_text("".join(json.dumps(_instruction(n)) + "\n" for n in range(20, 25)))
-    work, want = tmp_path / "work", tmp_path / "want"
-    work.mkdir()
-    (work / name).write_text(NON_CANONICAL["crlf"](lines), encoding="utf-8")
-    for path, ds in operation(read_dataset(work / name), read_dataset(other)).items():
-        write_dataset(ds, want / path)
-    assert main(["--config", pinned_config,
-                 *(a.format(dir=work, other=other) for a in argv)]) == 0
+    work, source, want = tmp_path / "work", tmp_path / "source", tmp_path / "want"
+    for directory in (work, source):
+        directory.mkdir()
+        (directory / name).write_text(NON_CANONICAL["crlf"](lines), encoding="utf-8")
+    for dirs in ({"in": work, "out": work}, {"in": source, "out": want}):
+        assert main(["--config", pinned_config,
+                     *(a.format(**dirs, other=other) for a in argv)]) == 0
     _same_files(work, want)  # an input that is the output's temp file is replaced, as before
+
+
+@pytest.mark.parametrize("argv", [
+    ["split-subsets", "--dataset", "{fifo}", "--k", "2", "--out-dir", "{out}"],
+    ["sample-scale", "--dataset", "{fifo}", "--size", "1", "--out", "{out}/s.jsonl"],
+], ids=["split-subsets", "sample-scale"])
+def test_a_dataset_that_cannot_be_read_twice_is_refused_before_it_is_opened(
+    tmp_path, pinned_config, capsys, argv
+):
+    fifo, out = tmp_path / "d.jsonl", tmp_path / "out"
+    os.mkfifo(fifo)  # with no writer, an open would wait for one
+    code = main(["--config", pinned_config, *(a.format(fifo=fifo, out=out) for a in argv)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {fifo}: not a regular file, and subset splitting and scale "
+        "sampling read their input twice\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["lint", "--instructions", "{fifo}"], "linted 3 instructions: 0 dirty, 0 violations"),
+    (["assemble", "--gen", "{fifo}", "--tmpl", "{fifo}.tmpl", "--out", "{fifo}.out"],
+     "assembled 4 instructions (0 generation + 4 template) -> {fifo}.out"),
+], ids=["lint", "assemble"])
+def test_a_step_that_reads_its_input_once_reads_a_pipe(
+    tmp_path, pinned_config, capsys, argv, summary
+):
+    fifo = tmp_path / "d.jsonl"
+    os.mkfifo(fifo)
+    Path(f"{fifo}.tmpl").write_text(json.dumps(_instruction(3)) + "\n")
+    rows = "".join(json.dumps(_instruction(n)) + "\n" for n in range(3))
+    writer = threading.Thread(target=fifo.write_text, args=(rows,), daemon=True)
+    writer.start()
+    code = main(["--config", pinned_config, *(a.format(fifo=fifo) for a in argv)])
+    writer.join(timeout=10)
+    assert code == 0 and not writer.is_alive()
+    assert capsys.readouterr().out == summary.format(fifo=fifo) + "\n"
+
+
+def test_lint_refuses_a_sidecar_seed_that_no_writer_writes(tmp_path, pinned_config, capsys):
+    dataset, _ = _rows_and_lines(tmp_path)
+    sidecar = Path(f"{dataset}.manifest.json")
+    sidecar.write_text(sidecar.read_text(encoding="utf-8").replace('"seed": 4', '"seed": "x"'),
+                       encoding="utf-8")
+    assert main(["--config", pinned_config, "lint", "--instructions", str(dataset)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {sidecar}: seed must be a non-negative integer or null\n")
 
 
 def test_split_subsets_refuses_a_later_subset_before_writing_the_first(

@@ -84,93 +84,144 @@ class TestInstruction:
             make_instruction("img", "generation", turns, PROV)
 
 
+def written(path, ds) -> Path:
+    """`ds` written to the dataset file `path`, and that path."""
+    write_dataset(ds, path)
+    return path
+
+
+def ids_digest(ids) -> str:
+    """The digest a sidecar records for these ids, computed here on its own."""
+    return hashlib.sha256("".join(sorted(ids)).encode("ascii")).hexdigest()
+
+
+def assembled(gen, tmpl, out) -> Path:
+    """`out`, after `assemble_hybrid` wrote the files `gen` and `tmpl` to it."""
+    assert assemble_hybrid(gen, tmpl, out) == read_dataset(out).counts_by_kind()
+    return out
+
+
+def split(dataset_path, k, seed, out_dir):
+    """The subsets that `split_subsets` writes to `out_dir`, as read back."""
+    sizes = split_subsets(dataset_path, k, seed, out_dir)
+    subsets = [read_dataset(Path(out_dir) / f"subset_{i}.jsonl") for i in range(1, k + 1)]
+    assert sizes == [len(s) for s in subsets]
+    return subsets
+
+
+def sample(dataset_path, size, seed, out):
+    """The sample that `sample_scale` writes to `out`, as read back."""
+    total = sample_scale(dataset_path, size, seed, out)
+    assert total == len(read_dataset(dataset_path))
+    return read_dataset(out)
+
+
 class TestAssemble:
-    def test_counts_add_when_disjoint(self):
-        hybrid = assemble_hybrid(dataset(150), dataset(300, tmpl_item, offset=1000))
+    def test_counts_add_when_disjoint(self, tmp_path):
+        gen = written(tmp_path / "g.jsonl", dataset(150))
+        tmpl = written(tmp_path / "t.jsonl", dataset(300, tmpl_item, offset=1000))
+        hybrid = read_dataset(assembled(gen, tmpl, tmp_path / "h.jsonl"))
         assert len(hybrid) == 450
         assert hybrid.counts_by_kind() == {"generation": 150, "template": 300}
 
-    def test_empty_is_identity_element(self):
+    def test_empty_is_identity_element(self, tmp_path):
         ds = dataset(10)
-        assert set(assemble_hybrid(ds, make_dataset([])).ids()) == set(ds.ids())
+        path = written(tmp_path / "d.jsonl", ds)
+        empty = written(tmp_path / "e.jsonl", make_dataset([]))
+        hybrid = read_dataset(assembled(path, empty, tmp_path / "h.jsonl"))
+        assert set(hybrid.ids()) == set(ds.ids())
 
-    def test_self_assembly_dedups(self):
+    def test_self_assembly_dedups(self, tmp_path):
         ds = dataset(10)
-        assert sorted(assemble_hybrid(ds, ds).ids()) == sorted(ds.ids())
+        path = written(tmp_path / "d.jsonl", ds)
+        hybrid = read_dataset(assembled(path, path, tmp_path / "h.jsonl"))
+        assert sorted(hybrid.ids()) == sorted(ds.ids())
 
-    def test_commutative_and_associative_on_id_sets(self):
-        a, b, c = dataset(5), dataset(5, offset=100), dataset(5, offset=200)
-        assert set(assemble_hybrid(a, b).ids()) == set(assemble_hybrid(b, a).ids())
-        left = assemble_hybrid(assemble_hybrid(a, b), c)
-        right = assemble_hybrid(a, assemble_hybrid(b, c))
-        assert set(left.ids()) == set(right.ids())
+    def test_commutative_and_associative_on_id_sets(self, tmp_path):
+        a, b, c = (written(tmp_path / f"{name}.jsonl", dataset(5, offset=offset))
+                   for name, offset in (("a", 0), ("b", 100), ("c", 200)))
+        ab, ba = assembled(a, b, tmp_path / "ab.jsonl"), assembled(b, a, tmp_path / "ba.jsonl")
+        assert set(read_dataset(ab).ids()) == set(read_dataset(ba).ids())
+        left = assembled(ab, c, tmp_path / "ab_c.jsonl")
+        right = assembled(a, assembled(b, c, tmp_path / "bc.jsonl"), tmp_path / "a_bc.jsonl")
+        assert set(read_dataset(left).ids()) == set(read_dataset(right).ids())
 
-    def test_id_collision_with_differing_content_is_integrity_error(self):
+    def test_id_collision_with_differing_content_is_integrity_error(self, tmp_path):
         a = make_dataset([gen_item(1, answer="first answer")])
         b = make_dataset([gen_item(1, answer="second answer")])
+        out = tmp_path / "h.jsonl"
         with pytest.raises(IntegrityError, match=a.items[0].instruction_id):
-            assemble_hybrid(a, b)
+            assemble_hybrid(written(tmp_path / "a.jsonl", a), written(tmp_path / "b.jsonl", b), out)
+        assert not out.exists()
+
+
+@pytest.fixture(scope="class")
+def twelve(tmp_path_factory):
+    """A 12-row dataset file, written once for a property test's examples, and its rows."""
+    ds = dataset(12)
+    return written(tmp_path_factory.mktemp("twelve") / "d.jsonl", ds), ds
 
 
 class TestSplit:
-    def test_even_split_is_disjoint_partition(self):
+    def test_even_split_is_disjoint_partition(self, tmp_path):
         ds = dataset(15)
-        subsets = split_subsets(ds, 3, seed=4)
+        subsets = split(written(tmp_path / "d.jsonl", ds), 3, 4, tmp_path / "out")
         assert [len(s) for s in subsets] == [5, 5, 5]
         seen = [iid for s in subsets for iid in s.ids()]
         assert len(seen) == len(set(seen))
         assert set(seen) == set(ds.ids())
 
-    def test_k_equals_one_returns_dataset(self):
+    def test_k_equals_one_returns_dataset(self, tmp_path):
         # Every item, in the seeded shuffle order that k > 1 deals from.
-        ds = dataset(6)
-        (only,) = split_subsets(ds, 1, seed=5)
-        assert only.items == sample_scale(ds, len(ds), seed=5).items
+        path = written(tmp_path / "d.jsonl", dataset(6))
+        (only,) = split(path, 1, 5, tmp_path / "out")
+        assert only.items == sample(path, 6, 5, tmp_path / "s.jsonl").items
 
-    def test_remainder_spread_round_robin(self):
-        sizes = [len(s) for s in split_subsets(dataset(10), 3, seed=0)]
+    def test_remainder_spread_round_robin(self, tmp_path):
+        sizes = split_subsets(written(tmp_path / "d.jsonl", dataset(10)), 3, 0, tmp_path / "out")
         assert sorted(sizes) == [3, 3, 4]
 
-    def test_k_above_count_rejected(self):
+    def test_k_above_count_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            split_subsets(dataset(2), 3, seed=0)
+            split_subsets(written(tmp_path / "d.jsonl", dataset(2)), 3, 0, tmp_path / "out")
 
-    def test_deterministic(self):
-        ds = dataset(12)
-        first = [s.ids() for s in split_subsets(ds, 4, seed=9)]
-        second = [s.ids() for s in split_subsets(ds, 4, seed=9)]
+    def test_deterministic(self, tmp_path):
+        path = written(tmp_path / "d.jsonl", dataset(12))
+        first = [s.ids() for s in split(path, 4, 9, tmp_path / "first")]
+        second = [s.ids() for s in split(path, 4, 9, tmp_path / "second")]
         assert first == second
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=999))
-    def test_partition_property(self, k, seed):
-        ds = dataset(12)
-        subsets = split_subsets(ds, k, seed)
+    def test_partition_property(self, twelve, k, seed):
+        path, ds = twelve
+        with tempfile.TemporaryDirectory() as out_dir:
+            subsets = split(path, k, seed, out_dir)
         seen = [iid for s in subsets for iid in s.ids()]
         assert len(seen) == 12 and set(seen) == set(ds.ids())
         assert max(len(s) for s in subsets) - min(len(s) for s in subsets) <= 1
 
 
 class TestSampleScale:
-    def test_full_size_is_permutation(self):
+    def test_full_size_is_permutation(self, tmp_path):
         ds = dataset(9)
-        assert sorted(sample_scale(ds, 9, seed=2).ids()) == sorted(ds.ids())
+        back = sample(written(tmp_path / "d.jsonl", ds), 9, 2, tmp_path / "s.jsonl")
+        assert sorted(back.ids()) == sorted(ds.ids())
 
-    def test_oversample_rejected(self):
+    def test_oversample_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="15"):
-            sample_scale(dataset(15), 16, seed=0)
+            sample_scale(written(tmp_path / "d.jsonl", dataset(15)), 16, 0, tmp_path / "s.jsonl")
 
-    def test_deterministic_and_subset(self):
+    def test_deterministic_and_subset(self, tmp_path):
         ds = dataset(20)
-        a, b = sample_scale(ds, 7, seed=3), sample_scale(ds, 7, seed=3)
+        path = written(tmp_path / "d.jsonl", ds)
+        a, b = sample(path, 7, 3, tmp_path / "a.jsonl"), sample(path, 7, 3, tmp_path / "b.jsonl")
         assert a.ids() == b.ids()
         assert set(a.ids()) <= set(ds.ids())
 
-    def test_manifest_records_parent_digest(self):
+    def test_manifest_records_parent_digest(self, tmp_path):
         ds = dataset(8)
-        child = sample_scale(ds, 4, seed=1)
-        from clover_forge.instructions import dataset_digest
-
-        assert child.sources == [dataset_digest(ds)]
+        child = sample(written(tmp_path / "d.jsonl", ds), 4, 1, tmp_path / "s.jsonl")
+        assert child.sources == [ids_digest(ds.ids())]
 
 
 # Turn text that is not blank; the default alphabet holds every code point but
@@ -180,7 +231,11 @@ _text = st.text(min_size=1, max_size=12).filter(str.strip)
 
 class TestSerialization:
     def test_roundtrip_field_by_field(self, tmp_path):
-        ds = assemble_hybrid(dataset(4), dataset(3, tmpl_item, offset=50))
+        gen, tmpl = dataset(4), dataset(3, tmpl_item, offset=50)
+        ds = read_dataset(assembled(written(tmp_path / "g.jsonl", gen),
+                                    written(tmp_path / "t.jsonl", tmpl), tmp_path / "h.jsonl"))
+        assert ds.items == gen.items + tmpl.items
+        assert ds.sources == [ids_digest(gen.ids()), ids_digest(tmpl.ids())]
         path = tmp_path / "ds.jsonl"
         write_dataset(ds, path)
         back = read_dataset(path)
@@ -225,6 +280,33 @@ class TestSerialization:
         with pytest.raises(IntegrityError) as caught:
             read_dataset(path)
         assert str(caught.value) == f"{sidecar}: no {key}"
+
+    @pytest.mark.parametrize("key, value, why", [
+        ("sources", 5, "sources must be a list"),
+        ("seed", "x", "seed must be a non-negative integer or null"),
+        ("seed", -3.5, "seed must be a non-negative integer or null"),
+        ("sources", [1, {"a": 2}], "sources[0] must be a string"),
+    ])
+    def test_sidecar_seed_and_sources_are_checked(self, tmp_path, key, value, why):
+        path = written(tmp_path / "ds.jsonl", dataset(4))
+        sidecar = tmp_path / "ds.jsonl.manifest.json"
+        manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+        manifest[key] = value
+        sidecar.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(IntegrityError) as caught:
+            read_dataset(path)
+        assert str(caught.value) == f"{sidecar}: {why}"
+
+    @pytest.mark.parametrize("lineage, why", [
+        ({"seed": -1}, "seed must be a non-negative integer or null"),
+        ({"sources": [None]}, "sources[0] must be a string"),
+    ])
+    def test_writer_refuses_a_seed_or_sources_that_would_not_read_back(self, tmp_path,
+                                                                       lineage, why):
+        with pytest.raises(IntegrityError) as caught:
+            DatasetWriter(tmp_path / "ds.jsonl", **lineage)
+        assert str(caught.value) == f"{tmp_path / 'ds.jsonl.manifest.json'}: {why}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_after_a_byte_order_mark_is_read(self, tmp_path):
         ds = make_dataset(dataset(3).items, seed=5, sources=["parent"])
@@ -351,22 +433,21 @@ def test_rows_read_from_one_file_share_their_provenance_strings(tmp_path):
 
 
 def test_sidecar_has_the_bytes_of_an_independent_reference(tmp_path):
-    parent = assemble_hybrid(dataset(7), dataset(5, tmpl_item, offset=50))
-    path = tmp_path / "subset.jsonl"
-    write_dataset(split_subsets(parent, 3, seed=11)[1], path)
+    parent = assembled(written(tmp_path / "g.jsonl", dataset(7)),
+                       written(tmp_path / "t.jsonl", dataset(5, tmpl_item, offset=50)),
+                       tmp_path / "h.jsonl")
+    split_subsets(parent, 3, 11, tmp_path)
+    path = tmp_path / "subset_2.jsonl"
     rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-
-    def digest(ids):
-        return hashlib.sha256("".join(sorted(ids)).encode("ascii")).hexdigest()
-
     reference = {
         "counts": {kind: sum(r["kind"] == kind for r in rows) for kind in ("generation", "template")},
-        "digest": digest(r["instruction_id"] for r in rows),
-        "sources": [digest(it.instruction_id for it in parent.items)],
+        "digest": ids_digest(r["instruction_id"] for r in rows),
+        "sources": [ids_digest(json.loads(line)["instruction_id"]
+                               for line in parent.read_text(encoding="utf-8").splitlines())],
         "seed": 11,
         "tool_version": __version__,
     }
-    sidecar = tmp_path / "subset.jsonl.manifest.json"
+    sidecar = tmp_path / "subset_2.jsonl.manifest.json"
     assert sidecar.read_text(encoding="utf-8") == json.dumps(
         reference, indent=2, ensure_ascii=False) + "\n"
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -431,7 +432,6 @@ def _documents():
     """One document of each kind a subcommand writes with `write_json`."""
     from clover_forge import losses, metrics
     from clover_forge import __version__
-    from clover_forge.instructions import dataset_digest, make_dataset
     from clover_forge.prompts import lint_qa
 
     items = [make_instruction(f"img{i}", "generation", [(f"q{i}?", "seen at 40x in 1999")],
@@ -442,7 +442,8 @@ def _documents():
                 EvalExample("e2", "a gland", "open", prediction="gland é"),
                 EvalExample("e3", "…", "open")]
     manifest = {"counts": {"generation": 3, "template": 0},
-                "digest": dataset_digest(make_dataset(items)), "sources": [], "seed": 3,
+                "digest": hashlib.sha256("".join(sorted(it.instruction_id for it in items))
+                                         .encode("ascii")).hexdigest(), "sources": [], "seed": 3,
                 "tool_version": __version__}
     return {"manifest": manifest, "lint": lint,
             "report": metrics.evaluate(examples), "kernel": losses.run_kernel_check(seed=0)}
