@@ -102,14 +102,14 @@ def cmd_gen_qa(args, cfg) -> int:
     corpus = corpus_mod.read_corpus(_corpus_path(cfg))
     backend = _build_backend(cfg)
     out = _out_path(args.out, cfg, "generation_instructions.jsonl")
-    checkpoint = args.checkpoint or str(out) + ".checkpoint.jsonl"
-    skip_log = args.skip_log or str(out) + ".skips.jsonl"
+    checkpoint = Path(args.checkpoint or f"{out}.checkpoint.jsonl")
+    skip_log = Path(args.skip_log or f"{out}.skips.jsonl")
+    files = [out, instr_mod.sidecar_path(out), checkpoint, skip_log]
+    files += [jsonio.temp_path(f) for f in files[:2]]
+    if len({f.resolve() for f in files}) < len(files):
+        raise CloverError(f"cannot write {out}: --out, its sidecar, their .tmp files, "
+                          "--checkpoint and --skip-log must be distinct files")
     with instr_mod.DatasetWriter(out, seed=cfg.seed) as writer:  # refuses before any paid call
-        files = [out, writer.sidecar, Path(checkpoint), Path(skip_log)]
-        files += [jsonio.temp_path(f) for f in (out, writer.sidecar)]
-        if len({f.resolve() for f in files}) < len(files):
-            raise CloverError(f"cannot write {out}: --out, its sidecar, their .tmp files, "
-                              "--checkpoint and --skip-log must be distinct files")
         run = generate.generate_instructions(
             corpus, backend, fewshot_pairs, budget_usd=cfg.budget_usd, strict=cfg.strict_parse,
             rates=backends.CostRates(cfg.rate_in_usd_per_1k, cfg.rate_out_usd_per_1k),

@@ -8,7 +8,8 @@ results commit in input order on the calling thread: ledger, checkpoint, parse,
 and, in strict mode, lint. Admission waits only on commits, never on which
 request finishes first, so the processed set and every output byte are the
 same for any timing. Each instruction goes to the run's sink as it commits: a
-list, or an `instructions.DatasetWriter`, which writes it at once.
+list, or an `instructions.DatasetWriter`, which writes it at once; each receipt
+goes only to the checkpoint, the one record of what the runs have paid.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .backends import (
 )
 from .config import Config
 from .corpus import Corpus
-from .errors import BackendError, BudgetExceededError, CloverError, ParseError
+from .errors import BackendError, BudgetExceededError, CloverError, ManifestError, ParseError
 from .instructions import Instruction, Provenance, make_instruction
-from .jsonio import encode_row, read_records
+from .jsonio import encode_row, read_records, refuse_unwritable
 from .prompts import PromptEnvelope, build_prompt, envelope_digest, lint_qa, parse_qa
 
 # Admitted-but-uncommitted records per worker: with one, workers idle behind
@@ -66,7 +67,6 @@ class BudgetLedger:
 @dataclass
 class GenerationRun:
     instructions: list[Instruction] = field(default_factory=list)  # any sink: append, len
-    receipts: list[GenerationReceipt] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
     halted: bool = False
     halt_reason: str = ""
@@ -95,21 +95,23 @@ def estimate_run_cost(
     return total
 
 
-def load_checkpoint(path: str | Path) -> tuple[set[str], list[GenerationReceipt]]:
-    """Processed image ids and their receipts from a previous partial run."""
-    if not Path(path).exists():
-        return set(), []
-    receipts = list(read_records(path, GenerationReceipt))
-    return {r.image_id for r in receipts}, receipts
+def load_checkpoint(path: str | Path) -> tuple[set[str], Decimal]:
+    """The image ids that earlier runs processed and what they spent, summed as the
+    checkpoint is read. A bad line is a ManifestError, `<path>: line N: …`."""
+    done, spent = set(), Decimal(0)
+    try:
+        for receipt in read_records(path, GenerationReceipt) if Path(path).exists() else ():
+            done.add(receipt.image_id)
+            spent += receipt.estimated_cost_usd
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
+    return done, spent
 
 
 def _open_journal(stack: ExitStack, path: str | Path):
     """Open an append-only run log, closed when `stack` exits."""
-    try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return stack.enter_context(open(path, "a", encoding="utf-8"))
-    except OSError as exc:
-        raise CloverError(f"cannot open run log: {exc}") from exc
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return stack.enter_context(open(path, "a", encoding="utf-8"))
 
 
 def generate_instructions(
@@ -133,7 +135,8 @@ def generate_instructions(
     Strict mode drops records whose completion fails parsing or linting.
     Lenient mode attaches parse warnings only (leading text, a pair count out
     of range) and does not lint. A halt is clean: the checkpoint already holds
-    every processed record, so the run can resume.
+    every processed record, so the run can resume. Both journals are refused, as
+    every output is, before either is opened.
     The run halts before the first record that does not fit the budget, and
     stops admitting at the first receipt that costs more than its reservation.
     `run.instructions` is `sink`, or a new list, and gets each row as it commits.
@@ -145,8 +148,9 @@ def generate_instructions(
     if max_completion_tokens < 1:
         raise ValueError(f"max_completion_tokens must be >= 1, got {max_completion_tokens}")
 
-    done, prior_receipts = load_checkpoint(checkpoint_path)
-    prior_spend = sum((r.estimated_cost_usd for r in prior_receipts), start=Decimal(0))
+    refuse_unwritable(checkpoint_path)
+    refuse_unwritable(skip_log_path)
+    done, prior_spend = load_checkpoint(checkpoint_path)
     ledger = BudgetLedger(budget_usd=budget_usd, reserved=prior_spend, spent=prior_spend)
 
     run = GenerationRun() if sink is None else GenerationRun(instructions=sink)
@@ -203,14 +207,11 @@ def generate_instructions(
                 log_skip(record.image_id, f"worker_error: {type(exc).__name__}: {exc}")
                 continue
             ledger.record(receipt.estimated_cost_usd)
-            run.receipts.append(receipt)
             try:
                 checkpoint_fh.write(encode_row(receipt) + "\n")
                 checkpoint_fh.flush()
             except OSError as exc:
-                err = CloverError(f"checkpoint write failed: {exc}")
-                err.partial = run
-                raise err from exc
+                raise CloverError(f"checkpoint write failed: {exc}") from exc
             if receipt.estimated_cost_usd > reservation and not overrun:
                 overrun = run.halted = True
                 run.halt_reason = (

@@ -3,13 +3,13 @@
 Both instruction kinds share one canonical on-disk schema; `kind` is a field,
 not a file format. A dataset file is read and written a row at a time, so no
 step holds a dataset: `DatasetReader` checks each row as it reads it and the
-`sidecar_path` manifest at the end, and `DatasetWriter` writes each row at once
-and the manifest at a clean exit. The dataset steps take and give paths, and are
-the ones the CLI runs: `assemble_hybrid` streams both inputs into one writer,
-and `split_subsets` and `sample_scale` index their input in one pass and, in a
-second, copy each picked line by its byte offset. `InstructionDataset` is the
-in-memory value for library callers, which `read_dataset` reads and
-`write_dataset` writes.
+`sidecar_path` manifest at the end, and `DatasetWriter` opens `<path>.tmp` on
+entry, writes each row at once, and the manifest at a clean exit. The dataset
+steps take and give paths, and are the ones the CLI runs: `assemble_hybrid`
+streams both inputs into one writer, and `split_subsets` and `sample_scale`
+index their input in one pass and, in a second, copy each picked line by its
+byte offset. `InstructionDataset` is the in-memory value for library callers,
+which `read_dataset` reads and `write_dataset` writes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import os
 import stat
 import sys
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as esc
 from pathlib import Path
@@ -146,12 +145,9 @@ def sidecar_path(path: str | Path) -> Path:
 class DatasetWriter:
     """The one writer of a dataset file and its manifest sidecar, a row at a time,
     holding only the ids and the kind `counts`. Built, it refuses a `path` or sidecar that
-    no write could create. `<path>.tmp` opens at the first row, or at a clean exit if
-    none came, never on entry, since `atomic_open` makes `path`'s directory and replaces
-    `<path>.tmp`, and gen-qa must first refuse a bad checkpoint or a --checkpoint that
-    is `<path>.tmp`. A clean exit renames it and writes the sidecar, with the
-    `sources` that the writer holds then; an exception, neither. A `seed` or
-    `sources` that a read of the sidecar would refuse is refused when built."""
+    no write could create, and a `seed` or `sources` that a read of the sidecar would
+    refuse. `<path>.tmp` opens on entry. A clean exit renames it and writes the sidecar,
+    with the `sources` that the writer holds then; an exception, neither."""
 
     def __init__(self, path: str | Path, *, seed: int | None = None, sources: Sequence[str] = ()):
         self.path, self.seed, self.sources = Path(path), seed, sources
@@ -161,8 +157,6 @@ class DatasetWriter:
         refuse_unwritable(self.sidecar)
         self._ids: set[str] = set()
         self.counts = dict.fromkeys(KINDS, 0)
-        self._files = ExitStack()
-        self._out = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -174,19 +168,17 @@ class DatasetWriter:
         """Write one row as its encoded `line`, newline included."""
         if instruction_id in self._ids:
             raise IntegrityError(f"duplicate instruction id {instruction_id}")
-        if self._out is None:
-            self._out = self._files.enter_context(atomic_open(self.path))
         self._out.write(line)
         self._ids.add(instruction_id)
         self.counts[kind] += 1
 
     def __enter__(self) -> DatasetWriter:
+        self._file = atomic_open(self.path)
+        self._out = self._file.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
-        if exc[0] is None and self._out is None:
-            self._files.enter_context(atomic_open(self.path))
-        self._files.__exit__(*exc)
+        self._file.__exit__(*exc)
         if exc[0] is None:
             write_json(self.sidecar, {
                 "counts": self.counts, "digest": _ids_digest(self._ids),
@@ -322,10 +314,10 @@ def split_subsets(dataset: str | Path, k: int, seed: int, out_dir: str | Path) -
     their sizes, which differ by at most 1: the rows are shuffled under the seed and
     dealt round-robin, so a remainder spreads one extra row over the first subsets.
     All k writers are built before the first is written."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     with _reread(dataset) as reader:
         rows = reader.index()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         if k > len(rows):
             raise ValueError(f"cannot split {len(rows)} items into {k} subsets")
         order = sample_indices(len(rows), len(rows), seed)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from clover_forge.backends import CostRates, MockBackend, RetryPolicy
+from clover_forge.backends import CostRates, GenerationReceipt, MockBackend, RetryPolicy
 from clover_forge.cli import main
 from clover_forge.corpus import Corpus, ImageTextRecord, merge_and_filter
 from clover_forge.fewshot import ingest_patches, make_kshot, wsi_classes
@@ -28,6 +28,7 @@ from clover_forge.instructions import (
     split_subsets,
     write_dataset,
 )
+from clover_forge.jsonio import read_records
 from clover_forge.losses import run_kernel_check
 from clover_forge.metrics import EvalExample, cost_ratio, evaluate, prf
 from clover_forge.prompts import QAPair, build_prompt, envelope_digest, parse_qa, render_qa
@@ -335,10 +336,11 @@ def test_criterion_9_budget_guard(tmp_path):
     )
     assert result.halted
     assert CountingBackend.calls == 2  # the third request was never sent
-    assert len(result.receipts) == 2
-    total = sum((r.estimated_cost_usd for r in result.receipts), start=Decimal(0))
+    receipts = list(read_records(tmp_path / "checkpoint.jsonl", GenerationReceipt))
+    assert len(receipts) == 2
+    total = sum((r.estimated_cost_usd for r in receipts), start=Decimal(0))
     assert total <= budget
-    for receipt in result.receipts:
+    for receipt in receipts:
         assert receipt.estimated_cost_usd == rates.cost(
             receipt.prompt_tokens, receipt.completion_tokens
         )

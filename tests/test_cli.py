@@ -307,6 +307,15 @@ class TestEvalVqa:
         assert obj["open_recall_pct"] == 100.0
         assert len(obj["per_example"]) == 2
 
+    def test_a_blank_reference_is_a_line_numbered_error(self, tmp_path, capsys):
+        examples = tmp_path / "examples.jsonl"
+        examples.write_text(json.dumps({"example_id": "e1", "reference": " \t",
+                                        "prediction": "yes", "qtype": "closed"}) + "\n")
+        report = tmp_path / "report.json"
+        assert main(["eval-vqa", "--examples", str(examples), "--report", str(report)]) == 1
+        assert capsys.readouterr() == ("", "error: line 1: example e1: empty reference\n")
+        assert not report.exists()
+
     def test_report_bytes_are_pinned(self, tmp_path, capsys):
         examples = tmp_path / "examples.jsonl"
         rows = [
@@ -554,6 +563,12 @@ JSONL_COMMANDS = {
 }
 
 
+def _named(kind: str, path: Path) -> str:
+    """The prefix of a bad line's error: the checkpoint, usually a default path that
+    the user never typed, is named; every other input is the one its flag names."""
+    return f"{path}: " if kind == "checkpoint" else ""
+
+
 @pytest.mark.parametrize(
     "bad_line", ["not-an-object", "not-json", "missing-key", "not-utf-8", "nested-too-deeply",
                  "integer-too-long"]
@@ -582,7 +597,7 @@ def test_bad_jsonl_line_is_reported_by_line_number(
     code = main(["--config", pinned_config, *(a.format(**paths) for a in argv)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: line 3: ")
+    assert err.startswith(f"error: {_named(kind, bad)}line 3: ")
     assert "Traceback" not in err
 
 
@@ -626,7 +641,7 @@ def test_mistyped_row_value_is_a_line_numbered_error(
     code = main(["--config", pinned_config, *(a.format(**paths) for a in MISTYPED_ARGV[kind])])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"error: line 3: {message}")
+    assert err.startswith(f"error: {_named(kind, bad)}line 3: {message}")
     assert "Traceback" not in err
     assert not paths["out"].parent.exists()
     assert not list(tmp_path.rglob("*.tmp"))
@@ -1067,6 +1082,55 @@ def test_gen_qa_refuses_an_out_whose_tmp_is_a_directory_before_any_backend_call(
     assert not Path(f"{out}.checkpoint.jsonl").exists()
 
 
+@pytest.mark.parametrize("journal", ["--skip-log", "--checkpoint"])
+def test_gen_qa_refuses_a_journal_under_a_file_before_any_backend_call_and_leaves_no_file(
+    tmp_path, pinned_config, corpus_file, counted_completions, capsys, journal
+):
+    fixtures = tmp_path / "fx"
+    stage_fixtures(fixtures, corpus_file)
+    (tmp_path / "afile").write_text("x")
+    blocked, out = tmp_path / "afile" / "s.jsonl", tmp_path / "run" / "g.jsonl"
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    code = main(["--config", pinned_config, "gen-qa", "--corpus", str(corpus_file),
+                 "--fixtures", str(fixtures), "--out", str(out), journal, str(blocked)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {blocked}: {tmp_path / 'afile'} is not a directory\n")
+    calls, _ = counted_completions
+    assert calls == []
+    assert not out.parent.exists()
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("damage", ["torn-mid-line", "cost-not-a-number"])
+def test_a_bad_checkpoint_line_names_the_checkpoint_before_any_backend_call(
+    tmp_path, pinned_config, corpus_file, counted_completions, capsys, damage
+):
+    fixtures = tmp_path / "fx"
+    stage_fixtures(fixtures, corpus_file)
+    out = tmp_path / "gen.jsonl"
+    argv = ["--config", pinned_config, "gen-qa", "--corpus", str(corpus_file),
+            "--fixtures", str(fixtures), "--out", str(out)]
+    assert main(argv) == 0
+    checkpoint = Path(f"{out}.checkpoint.jsonl")
+    lines = checkpoint.read_bytes().splitlines(keepends=True)
+    if damage == "torn-mid-line":  # a write cut off halfway through line 4
+        checkpoint.write_bytes(b"".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+        why = "line 4: invalid JSON (Unterminated string"
+    else:
+        row = {**json.loads(lines[1]), "estimated_cost_usd": "abc"}
+        checkpoint.write_bytes(b"".join([lines[0], json.dumps(row).encode() + b"\n", *lines[2:]]))
+        why = "line 2: estimated_cost_usd must be a finite non-negative decimal string"
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    calls, _ = counted_completions
+    paid = len(calls)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {checkpoint}: {why}")
+    assert len(calls) == paid
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_gen_qa_interrupted_keeps_the_previous_output(
     tmp_path, pinned_config, corpus_file, counted_completions
 ):
@@ -1310,6 +1374,18 @@ def test_lint_refuses_a_sidecar_seed_that_no_writer_writes(tmp_path, pinned_conf
     assert main(["--config", pinned_config, "lint", "--instructions", str(dataset)]) == 1
     assert capsys.readouterr() == (
         "", f"error: {sidecar}: seed must be a non-negative integer or null\n")
+
+
+def test_split_subsets_refuses_k_below_one_before_it_decodes_the_dataset(
+    tmp_path, pinned_config, capsys
+):
+    dataset, out_dir = tmp_path / "d.jsonl", tmp_path / "subsets"
+    dataset.write_text("{not json\n")
+    code = main(["--config", pinned_config, "split-subsets", "--dataset", str(dataset),
+                 "--k", "0", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: k must be >= 1, got 0\n")
+    assert not out_dir.exists()
 
 
 def test_split_subsets_refuses_a_later_subset_before_writing_the_first(

@@ -10,6 +10,7 @@ import pytest
 from clover_forge import generate
 from clover_forge.backends import (
     CostRates,
+    GenerationReceipt,
     MockBackend,
     RetryPolicy,
     estimate_prompt_tokens,
@@ -26,6 +27,7 @@ from clover_forge.generate import (
     request_reservation,
 )
 from clover_forge.instructions import DatasetWriter, make_dataset, write_dataset
+from clover_forge.jsonio import read_records
 from clover_forge.prompts import build_prompt, envelope_digest, lint_qa, parse_qa
 
 RATES = CostRates(Decimal("0.0015"), Decimal("0.002"))
@@ -78,6 +80,11 @@ def stage_all(fixture_dir: Path, corpus: Corpus, text=CLEAN_COMPLETION):
         stage_fixture(fixture_dir, record.merged_caption, text)
 
 
+def receipts_in(directory: Path) -> list[GenerationReceipt]:
+    """The receipts that the runs into `directory` paid for, as their checkpoint holds them."""
+    return list(read_records(directory / "checkpoint.jsonl", GenerationReceipt))
+
+
 def run(corpus, backend, tmp_path, **kwargs):
     kwargs.setdefault("rates", RATES)
     kwargs.setdefault("policy", FAST)
@@ -92,7 +99,7 @@ def test_full_mock_run_builds_instruction_per_record(tmp_path):
     stage_all(tmp_path / "fx", corpus)
     result = run(corpus, MockBackend(tmp_path / "fx"), tmp_path)
     assert len(result.instructions) == 5
-    assert len(result.receipts) == 5
+    assert len(receipts_in(tmp_path)) == 5
     assert not result.halted
     assert all(it.kind == "generation" for it in result.instructions)
     assert all(len(it.turns) == 4 for it in result.instructions)
@@ -132,11 +139,11 @@ def test_budget_halt_is_clean_and_receipts_stay_under_cap(tmp_path):
     )
     assert result.halted
     assert "budget" in result.halt_reason
-    assert len(result.receipts) == 2
-    assert sum(r.estimated_cost_usd for r in result.receipts) <= budget
-    done, receipts = load_checkpoint(tmp_path / "checkpoint.jsonl")
-    assert done == {"img000", "img001"}
+    receipts = receipts_in(tmp_path)
     assert len(receipts) == 2
+    spent = sum(r.estimated_cost_usd for r in receipts)
+    assert spent <= budget
+    assert load_checkpoint(tmp_path / "checkpoint.jsonl") == ({"img000", "img001"}, spent)
 
 
 def test_resume_skips_checkpointed_records_and_counts_prior_spend(tmp_path):
@@ -145,31 +152,28 @@ def test_resume_skips_checkpointed_records_and_counts_prior_spend(tmp_path):
     per_request = request_reservation(
         build_prompt(corpus.records[0].merged_caption), RATES, 512
     )
-    first = run(
-        corpus, MockBackend(tmp_path / "fx"), tmp_path, budget_usd=per_request * 2
-    )
-    assert len(first.receipts) == 2
+    run(corpus, MockBackend(tmp_path / "fx"), tmp_path, budget_usd=per_request * 2)
+    first = receipts_in(tmp_path)
+    assert len(first) == 2
 
     # resume accounts prior ACTUAL spend; whatever fits beyond it may proceed,
     # already-processed records never rerun
-    again = run(
-        corpus, MockBackend(tmp_path / "fx"), tmp_path, budget_usd=per_request * 2
-    )
-    assert all(r.image_id not in {"img000", "img001"} for r in again.receipts)
-    prior_spend = sum(r.estimated_cost_usd for r in first.receipts)
-    assert (
-        prior_spend + sum(r.estimated_cost_usd for r in again.receipts)
-        <= per_request * 2
-    )
+    run(corpus, MockBackend(tmp_path / "fx"), tmp_path, budget_usd=per_request * 2)
+    again = receipts_in(tmp_path)[len(first):]
+    assert all(r.image_id not in {"img000", "img001"} for r in again)
+    prior_spend = sum(r.estimated_cost_usd for r in first)
+    assert prior_spend + sum(r.estimated_cost_usd for r in again) <= per_request * 2
 
     # a roomier budget on resume finishes the rest without reprocessing
     finish = run(
         corpus, MockBackend(tmp_path / "fx"), tmp_path, budget_usd=per_request * 6
     )
-    done, all_receipts = load_checkpoint(tmp_path / "checkpoint.jsonl")
+    done, spent = load_checkpoint(tmp_path / "checkpoint.jsonl")
     assert done == {"img000", "img001", "img002", "img003"}
+    all_receipts = receipts_in(tmp_path)
     assert len(all_receipts) == 4
-    assert sum(r.estimated_cost_usd for r in all_receipts) <= per_request * 6
+    assert finish.spent == spent == sum(r.estimated_cost_usd for r in all_receipts)
+    assert spent <= per_request * 6
 
 
 def test_strict_mode_skips_dirty_completions_into_log(tmp_path):
@@ -190,7 +194,7 @@ def test_strict_mode_skips_dirty_completions_into_log(tmp_path):
     ]
     assert {row["image_id"] for row in logged} == {"img001", "img002"}
     # skipped records were still billed: the completion happened
-    assert len(result.receipts) == 3
+    assert len(receipts_in(tmp_path)) == 3
 
 
 def test_lenient_mode_keeps_dirty_and_short_completions(tmp_path):
@@ -224,7 +228,8 @@ def test_only_strict_mode_lints(tmp_path, monkeypatch):
         assert [(t.question, t.answer) for t in it.turns] == [
             (p.question, p.answer) for p in parse_qa(text).pairs
         ]
-    assert [r.image_id for r in lenient.receipts] == ["img000", "img001", "img002", "img003"]
+    assert [r.image_id for r in receipts_in(tmp_path / "lenient")] == [
+        "img000", "img001", "img002", "img003"]
     assert [(i, r.split(":")[0]) for i, r in lenient.skipped] == [("img003", "parse_error")]
     assert lenient.warnings == ["img002: expected 4-5 QA pairs, found 2"]
 
@@ -255,7 +260,7 @@ def test_non_utf8_fixture_becomes_backend_skip(tmp_path):
     (fx / f"{digest}.txt").write_bytes(CLEAN_COMPLETION.encode() + b"\xff\n")
     result = run(corpus, MockBackend(fx), tmp_path)
     assert [it.image_id for it in result.instructions] == ["img000", "img002"]
-    assert [r.image_id for r in result.receipts] == ["img000", "img002"]
+    assert [r.image_id for r in receipts_in(tmp_path)] == ["img000", "img002"]
     assert result.skipped == [
         ("img001", f"backend_error: fixture {fx / digest}.txt is not UTF-8")
     ]
@@ -285,7 +290,7 @@ def test_concurrency_does_not_change_output(tmp_path):
     assert [i.instruction_id for i in serial.instructions] == [
         i.instruction_id for i in parallel.instructions
     ]
-    assert serial.receipts == parallel.receipts
+    assert receipts_in(tmp_path / "a") == receipts_in(tmp_path / "b")
 
 
 def test_zero_budget_rejected(tmp_path):
@@ -319,15 +324,15 @@ def test_ledger_refuses_before_any_spend():
 def test_empty_corpus_is_a_clean_noop(tmp_path):
     empty = Corpus()
     result = run(empty, MockBackend(tmp_path), tmp_path)
-    assert result.instructions == [] and result.receipts == []
+    assert result.instructions == [] and receipts_in(tmp_path) == []
     assert not result.halted
 
 
 def test_receipts_bill_only_final_attempt_usage(tmp_path):
     corpus = corpus_of(1)
     stage_all(tmp_path / "fx", corpus)
-    result = run(corpus, MockBackend(tmp_path / "fx"), tmp_path)
-    receipt = result.receipts[0]
+    run(corpus, MockBackend(tmp_path / "fx"), tmp_path)
+    [receipt] = receipts_in(tmp_path)
     assert receipt.completion_tokens == estimate_tokens(CLEAN_COMPLETION)
     assert receipt.retries == 0
 
@@ -374,7 +379,7 @@ def test_out_of_order_completions_give_identical_outputs(tmp_path):
         captions = [r.merged_caption for r in corpus.records[: len(backend.finished)]]
         results[workers] = (
             result.instructions,
-            result.receipts,
+            receipts_in(out),
             result.skipped,
             result.halt_reason,
             (out / "checkpoint.jsonl").read_bytes(),
@@ -402,7 +407,8 @@ def test_receipt_over_its_reservation_stops_admission(tmp_path):
     result = run(
         corpus, backend, tmp_path, max_concurrency=workers, max_completion_tokens=cap
     )
-    first = result.receipts[0]
+    receipts = receipts_in(tmp_path)
+    first = receipts[0]
     reservation = request_reservation(
         build_prompt(corpus.records[0].merged_caption), RATES, cap
     )
@@ -411,8 +417,8 @@ def test_receipt_over_its_reservation_stops_admission(tmp_path):
     assert "img000" in result.halt_reason
     assert str(first.estimated_cost_usd) in result.halt_reason
     assert str(reservation) in result.halt_reason
-    assert len(result.receipts) - 1 <= WINDOW_PER_WORKER * workers
-    assert [r.image_id for r in result.receipts] == corpus.ids()[: len(result.receipts)]
+    assert len(receipts) - 1 <= WINDOW_PER_WORKER * workers
+    assert [r.image_id for r in receipts] == corpus.ids()[: len(receipts)]
 
 
 def test_checkpoint_write_failure_stops_workers_and_keeps_partial(tmp_path, monkeypatch):
@@ -430,12 +436,13 @@ def test_checkpoint_write_failure_stops_workers_and_keeps_partial(tmp_path, monk
     monkeypatch.setattr(generate, "encode_row", failing_row)
     backend = JitterBackend(tmp_path / "fx")
     before = set(threading.enumerate())
-    with pytest.raises(CloverError, match="checkpoint write failed") as excinfo:
+    with pytest.raises(CloverError, match="checkpoint write failed"):
         run(corpus, backend, tmp_path, max_concurrency=workers)
-    partial = excinfo.value.partial
-    assert [r.image_id for r in partial.receipts] == ["img000", "img001", "img002", "img003"]
+    # The receipts of img000 to img002 are kept; img003's failed to be written.
+    kept = (tmp_path / "checkpoint.jsonl").read_text().splitlines()
+    assert [json.loads(line)["image_id"] for line in kept] == rows == ["img000", "img001", "img002"]
     assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
-    assert len(backend.finished) <= len(partial.receipts) + WINDOW_PER_WORKER * workers
+    assert len(backend.finished) <= len(rows) + 1 + WINDOW_PER_WORKER * workers
 
 
 class PooledMockBackend(MockBackend):
@@ -461,7 +468,7 @@ def test_mock_completions_run_inline_with_the_outputs_of_the_pool(tmp_path, monk
     monkeypatch.setattr(generate, "ThreadPoolExecutor", no_pool)
     inline = run(corpus, MockBackend(fx), tmp_path / "inline", strict=True, budget_usd=budget)
     assert inline.halted and len(inline.skipped) == 2
-    for attr in ("instructions", "receipts", "skipped", "halt_reason", "spent"):
+    for attr in ("instructions", "skipped", "halt_reason", "spent"):
         assert getattr(inline, attr) == getattr(pooled, attr), attr
     for name in ("checkpoint.jsonl", "skips.jsonl"):
         assert (tmp_path / "inline" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from clover_forge.instructions import (
     split_subsets,
     write_dataset,
 )
-from clover_forge.jsonio import encode_row
+from clover_forge.jsonio import encode_row, read_records
 from clover_forge.prompts import QAPair
 
 PROV = Provenance(method="template-bank", created_at="2026-01-01T00:00:00Z")
@@ -401,9 +402,11 @@ class TestSerialization:
             checkpoint = Path(tmp) / "checkpoint.jsonl"
             checkpoint.write_text("".join(encode_row(r) + "\n" for r in receipts),
                                   encoding="utf-8")
-            done, back_receipts = load_checkpoint(checkpoint)
+            back_receipts = list(read_records(checkpoint, GenerationReceipt))
             assert back_receipts == receipts
-            assert done == {r.image_id for r in receipts}
+            assert load_checkpoint(checkpoint) == (
+                {r.image_id for r in receipts},
+                sum((r.estimated_cost_usd for r in receipts), start=Decimal(0)))
             assert [encode_row(r) for r in back_receipts] == [encode_row(r) for r in receipts]
 
     def test_dataset_manifest_counts_match_items(self, tmp_path):
@@ -456,3 +459,9 @@ def test_dataset_writer_refuses_a_sidecar_that_is_a_directory_when_built(tmp_pat
     (tmp_path / "k.jsonl.manifest.json").mkdir()
     with pytest.raises(CloverError, match="^cannot write .*k.jsonl.manifest.json: it is a directory$"):
         DatasetWriter(tmp_path / "k.jsonl")
+
+
+def test_make_dataset_refuses_a_duplicate_id():
+    items = dataset(3).items
+    with pytest.raises(IntegrityError, match=f"^duplicate instruction id {items[1].instruction_id}$"):
+        make_dataset([*items, items[1]])
